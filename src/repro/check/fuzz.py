@@ -27,7 +27,7 @@ from repro.check.oracle import DifferentialHarness, make_reference
 from repro.common.config import CacheGeometry, NUcacheConfig, SystemConfig
 from repro.common.errors import InvariantViolation, ReproError
 from repro.common.rng import DEFAULT_SEED, make_rng
-from repro.exec.store import default_store_dir
+from repro.exec.stores import default_store_dir
 from repro.nucache.organization import NUCache
 from repro.sim.policies import make_llc
 

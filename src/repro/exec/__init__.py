@@ -6,13 +6,13 @@ treatment:
 
 * :class:`~repro.exec.job.SimJob` — a frozen, hashable spec of one
   simulation with a stable content hash (:meth:`~repro.exec.job.SimJob.key`).
-* :mod:`~repro.exec.stores` — pluggable result-store backends
-  (filesystem and sqlite) behind one abstract interface: results are
-  persisted by content hash so repeated runs are incremental across
-  invocations, every read is invariant-checked with bad entries
-  quarantined, writes are atomic and fsync-durable, and cross-process
-  compute leases arbitrate single-flight execution.  Select with
-  ``REPRO_STORE=fs|sqlite`` or ``run --store``.
+* :mod:`~repro.exec.stores` — the result store (a local filesystem
+  store, or a client of a ``store serve`` server) behind one abstract
+  interface: results are persisted by content hash so repeated runs are
+  incremental across invocations, every read is invariant-checked with
+  bad entries quarantined, writes are atomic and fsync-durable, and
+  cross-process compute leases arbitrate single-flight execution.
+  Select with ``REPRO_STORE=fs|net://HOST:PORT`` or ``run --store``.
 * :class:`~repro.exec.scheduler.Scheduler` — dedups a batch, serves
   cache hits, fans misses across a process pool with retry, backoff, a
   progress hook, and graceful SIGINT/SIGTERM draining; concurrent
@@ -56,18 +56,21 @@ from repro.exec.faults import (
 from repro.exec.job import ENGINE_VERSION, SimJob, execute_job
 from repro.exec.journal import RunJournal, RunSummary, find_run, list_runs
 from repro.exec.scheduler import BatchReport, Scheduler
-from repro.exec.store import STORE_ENV_VAR, ResultStore, StoreStats
 from repro.exec.stores import (
     AbstractResultStore,
     FileResultStore,
     Lease,
     STORE_BACKEND_ENV_VAR,
-    SqliteResultStore,
+    STORE_ENV_VAR,
     StoreError,
+    StoreStats,
     from_url,
     make_store,
 )
 from repro.exec.validate import check_result, validate_result
+
+#: The historical name of the filesystem store.
+ResultStore = FileResultStore
 
 __all__ = [
     "AbstractResultStore",
@@ -89,7 +92,6 @@ __all__ = [
     "STORE_ENV_VAR",
     "Scheduler",
     "SimJob",
-    "SqliteResultStore",
     "StoreError",
     "StoreStats",
     "ValidationError",

@@ -9,16 +9,16 @@ This module provides that as two wrappers:
   injects, per job, a worker **crash** (``SIGKILL`` of the worker
   process), a **hang** (a sleep long enough to trip the scheduler's
   per-job timeout), or a **flake** (a transient raised exception).
-* :class:`FaultyStore` wraps any
-  :class:`~repro.exec.stores.base.AbstractResultStore` and injects
-  store-level faults through the backend-portable chaos hooks:
-  ``corrupt`` damages freshly written entries (truncated bytes or a
-  plausible-but-invalid payload, exercising read-validate-quarantine),
-  ``store.put.crash`` fails a write the way a crashed writer would,
-  ``store.get.corrupt`` damages an entry just before it is read,
-  ``store.lease.orphan`` drops a lease release (stranding the lease for
-  stale takeover), and ``sqlite.busy`` forces a ``database is locked``
-  error on the sqlite backend's next operation.
+* :class:`FaultyStore` wraps a result store and injects store-level
+  faults where the medium lives: ``corrupt`` damages freshly written
+  entries (truncated bytes or a plausible-but-invalid payload,
+  exercising read-validate-quarantine), ``store.put.crash`` fails a
+  write the way a crashed writer would, ``store.get.corrupt`` damages
+  an entry just before it is read, and ``store.lease.orphan`` drops a
+  lease release (stranding the lease for stale takeover).  Entry damage
+  needs the medium itself, so it acts only on a
+  :class:`~repro.exec.stores.fs.FileResultStore`; to damage entries
+  behind a ``net://`` server, wrap the *server's* backing store.
 
 Whether a given job is faulted is a pure function of the plan's seed and
 the job's content key (via :mod:`repro.common.rng`), so fault placement
@@ -47,7 +47,8 @@ from typing import Dict, Optional
 from repro.common.errors import ExecError
 from repro.common.rng import make_rng
 from repro.exec.job import SimJob, execute_job
-from repro.exec.store import default_store_dir
+from repro.exec.stores import FileResultStore, StoreError, default_store_dir
+from repro.exec.stores.net import NET_FAULT_KINDS
 
 #: Environment variable holding the fault spec (``kind=rate,...``).
 FAULTS_ENV_VAR = "REPRO_FAULTS"
@@ -63,16 +64,6 @@ STORE_FAULT_KINDS = (
     "store.put.crash",
     "store.get.corrupt",
     "store.lease.orphan",
-    "sqlite.busy",
-)
-
-#: Injectable network-store fault kinds (client-side, armed through
-#: :meth:`repro.exec.stores.net.NetResultStore.inject_net_fault`).
-NET_FAULT_KINDS = (
-    "net.conn.refused",
-    "net.read.timeout",
-    "net.reply.corrupt",
-    "net.server.crash",
 )
 
 #: Every injectable fault kind.
@@ -104,7 +95,6 @@ class FaultPlan:
     store_put_crash: float = 0.0
     store_get_corrupt: float = 0.0
     store_lease_orphan: float = 0.0
-    sqlite_busy: float = 0.0
     net_conn_refused: float = 0.0
     net_read_timeout: float = 0.0
     net_reply_corrupt: float = 0.0
@@ -237,24 +227,24 @@ class FaultyExecute:
 class FaultyStore:
     """Result-store proxy that injects plan faults into store operations.
 
-    Every method delegates to the wrapped store.  Faulted operations use
-    the backend-portable chaos hooks on
-    :class:`~repro.exec.stores.base.AbstractResultStore`, so the same
-    plan works against the filesystem and sqlite backends alike:
+    Every method delegates to the wrapped store.  Faults are injected
+    where the medium lives, so the entry-damage kinds act only on a
+    wrapped :class:`~repro.exec.stores.fs.FileResultStore` (through its
+    damage methods, which are not part of the store contract):
 
     * ``corrupt`` — after a successful ``put``, damage the entry in
       place (alternating torn bytes / invariant-violating JSON by key).
-      Read-side validation must quarantine it, never serve it.
+      Read-side validation must quarantine it, never serve it.  No-op
+      on other backends.
     * ``store.put.crash`` — fail the ``put`` the way a crashed writer
       would (raises ``StoreError``; the scheduler degrades, the batch
-      still completes).
+      still completes).  On ``fs`` the torn temp file is left behind;
+      elsewhere ``StoreError`` is raised directly.
     * ``store.get.corrupt`` — damage an existing entry just before it
-      is read, exercising quarantine on the read path.
+      is read, exercising quarantine on the read path.  No-op on other
+      backends.
     * ``store.lease.orphan`` — swallow a lease release, stranding the
-      lease on disk for another process's stale takeover.
-    * ``sqlite.busy`` — arm the sqlite backend's injected
-      ``database is locked`` error before the next operation (no-op on
-      backends without :meth:`inject_busy_once`).
+      lease for another process's stale takeover.
     * ``net.conn.refused`` / ``net.read.timeout`` / ``net.reply.corrupt``
       — arm one transport failure on the net backend's next request;
       the client reconnects/retries and the operation still succeeds.
@@ -278,11 +268,11 @@ class FaultyStore:
         """Alternate damage flavors deterministically by key."""
         return "truncate" if int(key[0], 16) % 2 == 0 else "semantic"
 
-    def _arm_busy(self, key: str) -> None:
-        """Fire ``sqlite.busy`` if planned and the backend supports it."""
-        inject = getattr(self._store, "inject_busy_once", None)
-        if inject is not None and self._plan.fire("sqlite.busy", key):
-            inject()
+    def _medium(self) -> Optional[FileResultStore]:
+        """The wrapped store if it owns damageable entries, else None."""
+        if isinstance(self._store, FileResultStore):
+            return self._store
+        return None
 
     def _arm_net(self, key: str) -> None:
         """Fire planned ``net.*`` faults if the backend supports them."""
@@ -296,16 +286,17 @@ class FaultyStore:
     def get(self, job: SimJob):
         """Read via the wrapped store, damaging planned entries first."""
         key = job.key()
-        self._arm_busy(key)
         self._arm_net(key)
+        medium = self._medium()
         if (
-            self._plan.selected("store.get.corrupt", key)
+            medium is not None
+            and self._plan.selected("store.get.corrupt", key)
             and not self._plan.fired("store.get.corrupt", key)
         ):
             # Only burn the fire-once marker when there is an entry to
             # damage, so a cold get doesn't waste the fault.
             try:
-                if self._store.corrupt_entry(key, self._damage_mode(key)):
+                if medium.corrupt_entry(key, self._damage_mode(key)):
                     self._plan.fire("store.get.corrupt", key)
             except OSError:
                 pass
@@ -314,14 +305,19 @@ class FaultyStore:
     def put(self, job: SimJob, result):
         """Persist via the wrapped store, injecting planned write faults."""
         key = job.key()
-        self._arm_busy(key)
         self._arm_net(key)
+        medium = self._medium()
         if self._plan.fire("store.put.crash", key):
-            # Raises StoreError after leaving crash debris behind.
-            return self._store.simulate_crash_mid_put(job, result)
+            if medium is not None:
+                # Raises StoreError after leaving crash debris behind.
+                medium.simulate_crash_mid_put(job, result)
+            raise StoreError(
+                f"injected store crash mid-put for {key[:12]} "
+                f"({self._store.backend} backend)"
+            )
         locator = self._store.put(job, result)
-        if self._plan.fire("corrupt", key):
-            self._store.corrupt_entry(key, self._damage_mode(key))
+        if medium is not None and self._plan.fire("corrupt", key):
+            medium.corrupt_entry(key, self._damage_mode(key))
         return locator
 
     def release_lease(self, lease) -> bool:

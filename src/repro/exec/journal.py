@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.common.errors import ExecError
-from repro.exec.store import default_store_dir
+from repro.exec.stores import default_store_dir
 
 #: Subdirectory of the store base where journals live.
 RUNS_DIR_NAME = "runs"

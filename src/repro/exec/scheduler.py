@@ -6,9 +6,10 @@ specs and returns their results in submission order.  The pipeline:
 1. **Dedup** — identical jobs (same content key) are simulated once and
    fanned back out to every occurrence; experiment grids repeat alone
    runs heavily, so this alone saves real work.
-2. **Cache lookup** — if a :class:`~repro.exec.store.ResultStore` is
-   attached, every unique job is first looked up by content hash (the
-   store validates and quarantines bad entries on read).
+2. **Cache lookup** — if a
+   :class:`~repro.exec.stores.base.AbstractResultStore` is attached,
+   every unique job is first looked up by content hash (the store
+   validates and quarantines bad entries on read).
 3. **Execute** — misses run through a ``ProcessPoolExecutor`` when more
    than one worker is configured (and there is more than one miss),
    else inline.  Each miss gets ``1 + retries`` attempts; a worker
@@ -83,8 +84,6 @@ class BatchReport:
     lease_contentions: int = 0
     #: Leases acquired by displacing a stale (crashed/hung) holder.
     stale_takeovers: int = 0
-    #: SQLITE_BUSY retries absorbed by the store during this batch.
-    busy_retries: int = 0
     #: Net-store connections re-established after a drop during this batch.
     reconnects: int = 0
     #: Net-store requests resent (idempotently) after a transport failure.
@@ -110,8 +109,6 @@ class BatchReport:
             line += f", {self.lease_contentions} lease waits"
         if self.stale_takeovers:
             line += f", {self.stale_takeovers} lease takeovers"
-        if self.busy_retries:
-            line += f", {self.busy_retries} busy retries"
         if self.reconnects:
             line += f", {self.reconnects} reconnects"
         if self.retried_requests:
@@ -130,7 +127,6 @@ class BatchReport:
             "degraded": self.degraded,
             "lease_contentions": self.lease_contentions,
             "stale_takeovers": self.stale_takeovers,
-            "busy_retries": self.busy_retries,
             "reconnects": self.reconnects,
             "retried_requests": self.retried_requests,
         }
@@ -148,7 +144,6 @@ class BatchReport:
         self.degraded += other.degraded
         self.lease_contentions += other.lease_contentions
         self.stale_takeovers += other.stale_takeovers
-        self.busy_retries += other.busy_retries
         self.reconnects += other.reconnects
         self.retried_requests += other.retried_requests
 
@@ -166,7 +161,6 @@ def _report_fields(report: "BatchReport") -> Dict[str, object]:
         "degraded": report.degraded,
         "lease_contentions": report.lease_contentions,
         "stale_takeovers": report.stale_takeovers,
-        "busy_retries": report.busy_retries,
         "reconnects": report.reconnects,
         "retried_requests": report.retried_requests,
     }
@@ -359,7 +353,7 @@ class Scheduler:
     # Guarded store access and single-flight leases
     #
     # Every store interaction is wrapped: a store that turns read-only,
-    # busy beyond retries, or unavailable mid-run must never abort the
+    # unreachable, or otherwise unavailable mid-run must never abort the
     # batch.  The failure is counted (``report.degraded``), surfaced in
     # the trace, and the scheduler computes without the cache.
     # ------------------------------------------------------------------
@@ -594,7 +588,6 @@ class Scheduler:
 
         installed = self._install_signal_handlers()
         store_counters = getattr(self.store, "counters", None)
-        busy_before = store_counters.busy_retries if store_counters else 0
         reconnects_before = store_counters.reconnects if store_counters else 0
         resent_before = (
             store_counters.retried_requests if store_counters else 0
@@ -706,7 +699,6 @@ class Scheduler:
             self._release_all_leases()
             self._restore_signal_handlers(installed)
         if store_counters is not None:
-            report.busy_retries = store_counters.busy_retries - busy_before
             report.reconnects = store_counters.reconnects - reconnects_before
             report.retried_requests = (
                 store_counters.retried_requests - resent_before

@@ -1,18 +1,14 @@
 """Pluggable result-store backends behind one abstract interface.
 
 One abstract API (:class:`~repro.exec.stores.base.AbstractResultStore`),
-many backends:
+two backends:
 
 * ``fs`` — :class:`~repro.exec.stores.fs.FileResultStore`: one JSON
   file per entry, fsync-durable atomic writes, ``O_EXCL`` lease files.
-  The default, and byte-compatible with stores written before the
-  backend split.
-* ``sqlite`` — :class:`~repro.exec.stores.sqlite.SqliteResultStore`:
-  one WAL-mode database file, busy-retry with seeded backoff,
-  transactional leases.
+  The default, and the only local medium.
 * ``net`` — :class:`~repro.exec.stores.net.NetResultStore`: a TCP
   client for a ``nucache-repro store serve`` server (itself backed by
-  any of the above), with per-request deadlines, seeded reconnect
+  an ``fs`` store), with per-request deadlines, seeded reconnect
   backoff, idempotent retries, and server-authoritative leases.
 
 Select a backend with ``$REPRO_STORE`` (a backend name or a
@@ -46,20 +42,17 @@ from repro.exec.stores.fs import (
     TMP_LEAK_AGE_SECONDS,
 )
 from repro.exec.stores.net import NetResultStore, StoreServer
-from repro.exec.stores.sqlite import SqliteResultStore
 
 #: Registered backends, keyed by the name ``REPRO_STORE``/``--store`` use.
 BACKENDS: Dict[str, Type[AbstractResultStore]] = {
     "fs": FileResultStore,
     "net": NetResultStore,
-    "sqlite": SqliteResultStore,
 }
 
 #: The one sentence every bad-spec error ends with, so a typo in any of
 #: the selection paths (URL, env var, CLI flag) teaches the right shape.
 ACCEPTED_STORE_FORMS = (
-    "accepted forms: a backend name (fs, net, sqlite), fs://PATH, "
-    "sqlite://PATH[/store.sqlite], or net://HOST:PORT"
+    "accepted forms: fs, fs://PATH, or net://HOST:PORT"
 )
 
 
@@ -67,13 +60,10 @@ def from_url(url: str) -> AbstractResultStore:
     """Build a store from a ``backend://target`` spec.
 
     * ``fs:///var/cache/nucache`` — filesystem store rooted there.
-    * ``sqlite:///var/cache/nucache`` — sqlite store whose database
-      lives at ``<path>/store.sqlite``; a path ending in ``.sqlite`` or
-      ``.db`` names the database file itself.
     * ``net://host:port`` — client for a ``nucache-repro store serve``
       server at that address.
-    * ``fs://`` / ``sqlite://`` — the default store directory
-      (``$REPRO_CACHE_DIR`` or ``~/.cache/nucache-repro``).
+    * ``fs://`` — the default store directory (``$REPRO_CACHE_DIR`` or
+      ``~/.cache/nucache-repro``).
 
     Every malformed spec raises :class:`StoreError` naming the accepted
     forms; an unreachable ``net://`` target constructs fine here and
@@ -99,19 +89,15 @@ def from_url(url: str) -> AbstractResultStore:
             return NetResultStore(raw_path)
         except StoreError as exc:
             raise StoreError(f"{exc}; {ACCEPTED_STORE_FORMS}") from None
-    root = Path(raw_path) if raw_path else None
-    if scheme == "sqlite" and root is not None and root.suffix in (".sqlite", ".db"):
-        return SqliteResultStore(root=root.parent, db_path=root)
-    return BACKENDS[scheme](root)  # type: ignore[call-arg]
+    return FileResultStore(Path(raw_path) if raw_path else None)
 
 
 def make_store(spec: Optional[str] = None) -> AbstractResultStore:
     """Build the configured result store.
 
-    ``spec`` is a backend name (``fs``/``sqlite``/``net``) or a
-    :func:`from_url` spec; when ``None``, ``$REPRO_STORE`` decides,
-    defaulting to ``fs``.  The store root always honours
-    ``$REPRO_CACHE_DIR``.
+    ``spec`` is ``fs`` or a :func:`from_url` spec; when ``None``,
+    ``$REPRO_STORE`` decides, defaulting to ``fs``.  The store root
+    always honours ``$REPRO_CACHE_DIR``.
     """
     chosen = spec or os.environ.get(STORE_BACKEND_ENV_VAR) or "fs"
     if "://" in chosen:
@@ -121,11 +107,11 @@ def make_store(spec: Optional[str] = None) -> AbstractResultStore:
             "the net backend needs a server address; "
             f"{ACCEPTED_STORE_FORMS}"
         )
-    if chosen not in BACKENDS:
+    if chosen != "fs":
         raise StoreError(
             f"unknown store backend {chosen!r}; {ACCEPTED_STORE_FORMS}"
         )
-    return BACKENDS[chosen]()
+    return FileResultStore()
 
 
 __all__ = [
@@ -139,7 +125,6 @@ __all__ = [
     "QUARANTINE_DIR_NAME",
     "STORE_BACKEND_ENV_VAR",
     "STORE_ENV_VAR",
-    "SqliteResultStore",
     "StoreCounters",
     "StoreError",
     "StoreServer",

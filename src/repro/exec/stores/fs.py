@@ -352,15 +352,17 @@ class FileResultStore(AbstractResultStore):
         return census
 
     # ------------------------------------------------------------------
-    # Chaos hooks
+    # Damage (fault injection only; not part of the store contract)
     # ------------------------------------------------------------------
 
     def corrupt_entry(self, key: str, mode: str = "truncate") -> bool:
-        """Damage a stored entry in place (chaos testing only).
+        """Damage a stored entry in place; whether one existed to damage.
 
-        ``semantic`` damage decodes either codec version, skews the
-        counters, and writes the entry back as well-formed v1 JSON so
-        only read-side *validation* — never codec framing — catches it.
+        ``truncate`` tears the bytes; ``semantic`` decodes either codec
+        version, skews the counters, and writes the entry back as
+        well-formed v1 JSON so only read-side *validation* — never codec
+        framing — catches it.  Both must end in quarantine on ``get``.
+        Called by :class:`~repro.exec.faults.FaultyStore` and tests.
         """
         path = self._path(key)
         try:
@@ -378,7 +380,10 @@ class FileResultStore(AbstractResultStore):
         return True
 
     def simulate_crash_mid_put(self, job: SimJob, result: SimResult) -> None:
-        """Strand a torn temp file and fail, like a real mid-write crash."""
+        """Strand a torn temp file and raise, like a real mid-write crash.
+
+        Nothing is published; the debris is what :meth:`prune` sweeps.
+        """
         path = self._path(job.key())
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:

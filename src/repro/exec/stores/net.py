@@ -2,8 +2,8 @@
 
 A fleet of machines shares one store by pointing their schedulers at a
 ``net://host:port`` URL; a single ``nucache-repro store serve <spec>``
-process owns the durable medium (any registered backend — fs or sqlite —
-resolved via :func:`repro.exec.stores.from_url`) and arbitrates leases,
+process owns the durable medium (an ``fs`` store, resolved via
+:func:`repro.exec.stores.make_store`) and arbitrates leases,
 which makes single-flight *fleet-wide*: of N schedulers on N machines
 racing a cold job, exactly one computes it.
 
@@ -24,7 +24,8 @@ request/response pairs::
                                               -> {"ok": true, "lease": {...}|null}
 
 plus ``stats``, ``clear``, ``prune``, ``quarantined``, ``lease.renew``,
-``lease.release``, ``leases``, ``corrupt``, and ``ping``.  Server-side
+``lease.release``, ``leases``, and ``ping``.  The protocol carries the
+store contract only; there is no op that damages an entry.  Server-side
 failures come back as ``{"ok": false, "error": "..."}`` and surface as
 :class:`~repro.common.errors.StoreError` on the client — never retried,
 because the server *did* answer.
@@ -54,7 +55,9 @@ Robustness model
   mid-run yields a complete, byte-identical batch.
 
 Deterministic chaos (``net.*`` fault kinds in :mod:`repro.exec.faults`)
-is injected client-side via :meth:`NetResultStore.inject_net_fault`.
+is injected client-side via :meth:`NetResultStore.inject_net_fault`;
+entry damage is injected on the server's side, by wrapping its backing
+store in :class:`~repro.exec.faults.FaultyStore`.
 """
 
 from __future__ import annotations
@@ -239,14 +242,15 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class StoreServer:
-    """Serves any backend store over the net protocol.
+    """Serves a local (fs) store over the net protocol.
 
     One instance owns the backing store; worker threads handle
     connections but every backing-store call is serialized behind one
-    lock, so the backend needs no thread safety of its own (this is what
-    makes a sqlite backing safe to serve).  ``close()`` drains the
-    in-flight request, closes client connections, and releases every
-    held lease so an interrupted server never leaves the fleet blocked.
+    lock, so the backend needs no thread safety of its own (its
+    in-process counters and a lease's check-then-write stay atomic).
+    ``close()`` drains the in-flight request, closes client connections,
+    and releases every held lease so an interrupted server never leaves
+    the fleet blocked.
     """
 
     def __init__(
@@ -417,14 +421,6 @@ class StoreServer:
                 "ok": True,
                 "leases": [[key, owner, stale]
                            for key, owner, stale in backing.active_leases()],
-            }
-        if op == "corrupt":
-            return {
-                "ok": True,
-                "damaged": backing.corrupt_entry(
-                    str(request["key"]),
-                    mode=str(request.get("mode") or "truncate"),
-                ),
             }
         return {"ok": False, "error": f"unknown op {op!r}"}
 
@@ -768,12 +764,3 @@ class NetResultStore(AbstractResultStore):
             (str(key), str(owner), bool(stale))
             for key, owner, stale in reply.get("leases") or []
         ]
-
-    # -- chaos hooks ---------------------------------------------------
-
-    def corrupt_entry(self, key: str, mode: str = "truncate") -> bool:
-        """Damage a stored entry on the server (chaos testing only)."""
-        reply = self._request(
-            "corrupt", {"key": key, "mode": mode}, mutating=True
-        )
-        return bool(reply.get("damaged"))

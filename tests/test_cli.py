@@ -118,6 +118,37 @@ class TestExecution:
         assert "[exec] fig3:" in captured.err
         assert "cached" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags, env",
+        [
+            (["--store", "bogus"], None),
+            (["--store", "sqlite"], None),
+            ([], "sqlite:///x"),
+        ],
+        ids=["flag-bogus", "flag-sqlite", "env-sqlite-url"],
+    )
+    def test_run_rejects_bad_store_spec(
+        self, flags, env, tmp_path, monkeypatch, capsys
+    ):
+        """A bad store spec is one error line, exit 2, and no journal."""
+        from repro.exec import context as exec_context
+        from repro.exec.journal import list_runs
+        from repro.exec.stores import STORE_BACKEND_ENV_VAR, STORE_ENV_VAR
+
+        monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path))
+        if env is not None:
+            monkeypatch.setenv(STORE_BACKEND_ENV_VAR, env)
+        try:
+            assert main(["run", "fig5", *flags]) == 2
+        finally:
+            exec_context.reset()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: unknown store backend")
+        assert "accepted forms" in line
+        assert list_runs() == []
+
 
 class TestNewSubcommands:
     def test_characterize(self, capsys):
@@ -165,7 +196,7 @@ class TestCheckSubcommand:
         assert "ok" in captured.err  # per-case progress goes to stderr
 
     def test_forced_violation_round_trips(self, tmp_path, monkeypatch, capsys):
-        from repro.exec.store import STORE_ENV_VAR
+        from repro.exec.stores import STORE_ENV_VAR
 
         monkeypatch.setenv(STORE_ENV_VAR, str(tmp_path))
         assert main(["check", "--quick", "--policies", "nucache",

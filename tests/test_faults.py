@@ -69,9 +69,13 @@ class TestFaultPlan:
         assert plan.corrupt == 0.0
         assert plan.active()
 
-    def test_parse_rejects_unknown_kind(self):
+    def test_parse_rejects_unknown_kind(self, monkeypatch):
+        for spec in ("segfault=1.0", "sqlite.busy=0.5"):
+            with pytest.raises(ExecError, match="unknown fault kind"):
+                FaultPlan.parse(spec)
+        monkeypatch.setenv(FAULTS_ENV_VAR, "sqlite.busy=0.5")
         with pytest.raises(ExecError, match="unknown fault kind"):
-            FaultPlan.parse("segfault=1.0")
+            FaultPlan.from_env()
         with pytest.raises(ExecError, match="bad fault rate"):
             FaultPlan.parse("flake=lots")
         with pytest.raises(ExecError, match="outside"):

@@ -18,7 +18,7 @@ from repro.exec import (
 )
 from repro.exec import context as exec_context
 from repro.exec import journal as run_journal
-from repro.exec.store import STORE_ENV_VAR
+from repro.exec.stores import STORE_ENV_VAR
 
 ACCESSES = 4_000
 

@@ -244,9 +244,14 @@ class TestFaultKinds:
 
     def test_server_side_error_is_never_retried(self, live):
         _server, client, _backing = live
-        with pytest.raises(StoreError, match="unknown op"):
-            client._request("bogus-op")
+        job = _grid(1)[0]
+        client.put(job, execute_job(job))
+        # "corrupt" is not a wire op: no client can damage served entries.
+        for op in ("bogus-op", "corrupt"):
+            with pytest.raises(StoreError, match="unknown op"):
+                client._request(op, {"key": job.key(), "mode": "truncate"})
         assert client.counters.retried_requests == 0
+        assert client.get(job) is not None
 
     def test_unknown_fault_kind_rejected(self, live):
         _server, client, _backing = live
@@ -254,15 +259,20 @@ class TestFaultKinds:
             client.inject_net_fault("net.gremlins")
 
     def test_faultplan_arms_net_kinds_through_faultystore(self, live):
-        """``REPRO_FAULTS=net.reply.corrupt=1`` reaches the client hook."""
-        _server, client, _backing = live
-        plan = FaultPlan.parse("net.reply.corrupt")
+        """``REPRO_FAULTS=net.reply.corrupt=1`` reaches the client hook.
+
+        Entry-damage kinds in the same plan do nothing on a client: they
+        act at the medium, i.e. on a wrapped server-side store.
+        """
+        _server, client, backing = live
+        plan = FaultPlan.parse("net.reply.corrupt,corrupt,store.get.corrupt")
         assert plan.net_reply_corrupt == 1.0
         store = FaultyStore(client, plan)
         job = _grid(1)[0]
         store.put(job, execute_job(job))
         assert store.get(job) is not None
         assert client.counters.retried_requests >= 1
+        assert backing.stats().quarantined == 0
 
 
 class TestBreakerAndUnreachable:
@@ -380,7 +390,7 @@ class TestDegradedMode:
 # ----------------------------------------------------------------------
 
 
-def _spawn_serve(tmp_path, target=None, extra=()):
+def _spawn_serve(tmp_path):
     """Start ``nucache-repro store serve`` and return (proc, host, port)."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
@@ -388,8 +398,7 @@ def _spawn_serve(tmp_path, target=None, extra=()):
     env["REPRO_CACHE_DIR"] = str(tmp_path / "default-cache")
     cmd = [
         sys.executable, "-m", "repro.cli", "store", "serve",
-        target if target is not None else str(tmp_path / "store"),
-        "--port", "0", *extra,
+        str(tmp_path / "store"), "--port", "0",
     ]
     proc = subprocess.Popen(
         cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -461,23 +470,6 @@ class TestServeCLI:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-
-    def test_serves_sqlite_spec(self, tmp_path):
-        target = f"sqlite://{tmp_path / 'store'}"
-        proc, banner, host, port = _spawn_serve(tmp_path, target=target)
-        try:
-            assert banner.startswith("serving sqlite store ")
-            client = NetResultStore(f"{host}:{port}", timeout=2.0)
-            job = _grid(1)[0]
-            client.put(job, execute_job(job))
-            stats = client.stats()
-            assert stats.entries == 1
-            assert stats.backend == "net"
-            assert stats.root.startswith(f"net://{host}:{port} (")
-            client.close()
-        finally:
-            proc.terminate()
-            proc.wait(timeout=30)
 
     def test_serve_rejects_net_spec(self):
         from repro.cli import main

@@ -22,7 +22,6 @@ from repro.exec.stores import (
     BACKENDS,
     FileResultStore,
     NetResultStore,
-    SqliteResultStore,
     StoreServer,
 )
 
@@ -45,36 +44,47 @@ def store_factory(request, tmp_path):
     """Factory for fresh store handles over one shared medium, per backend.
 
     Chaos tests need several independent handles on the same store (a
-    warmer, the store under test, a rerun).  ``fs``/``sqlite`` hand out
-    stores over one tmpdir; ``net`` hands out TCP clients of one live
-    fs-backed :class:`StoreServer`.  The factory's ``backend`` attribute
-    names the flavor.
+    warmer, the store under test, a rerun).  ``fs`` hands out stores
+    over one tmpdir; ``net`` hands out TCP clients of live fs-backed
+    :class:`StoreServer` instances over that tmpdir.  ``make(plan)``
+    injects the plan's faults where the medium lives: ``fs`` wraps the
+    handle in :class:`FaultyStore`; ``net`` returns a client of a server
+    whose *backing* store is wrapped, so the damage crosses the wire.
     """
     backend = request.param
     base = tmp_path / "store"
-    if backend == "net":
-        server = StoreServer(FileResultStore(base), port=0)
-        server.start()
-        host, port = server.address
-        handles = []
+    if backend == "fs":
 
-        def make_net():
-            client = NetResultStore(f"{host}:{port}")
-            handles.append(client)
-            return client
+        def make_local(plan=None):
+            store = FileResultStore(base)
+            return store if plan is None else FaultyStore(store, plan)
 
-        make_net.backend = backend
-        yield make_net
-        for client in handles:
-            client.close()
-        server.close()
+        yield make_local
         return
 
-    def make_local():
-        return BACKENDS[backend](base)
+    servers = []
+    clients = []
 
-    make_local.backend = backend
-    yield make_local
+    def make_net(plan=None):
+        if plan is None and servers:
+            server = servers[0]
+        else:
+            backing = FileResultStore(base)
+            if plan is not None:
+                backing = FaultyStore(backing, plan)
+            server = StoreServer(backing, port=0)
+            server.start()
+            servers.append(server)
+        host, port = server.address
+        client = NetResultStore(f"{host}:{port}")
+        clients.append(client)
+        return client
+
+    yield make_net
+    for client in clients:
+        client.close()
+    for server in servers:
+        server.close()
 
 
 class _DeadStore:
@@ -188,7 +198,7 @@ class TestDegradedMode:
         scheduler.run(_grid(2))
         report = scheduler.last_report
         line = report.describe()
-        for marker in ("degraded", "lease", "busy", "takeover"):
+        for marker in ("degraded", "lease", "takeover"):
             assert marker not in line
         assert report.store_fields() == {}
 
@@ -224,8 +234,7 @@ class TestStoreFaultInjection:
     def test_put_crash_degrades_not_fails(self, store_factory, tmp_path):
         batch = _grid()
         plan = FaultPlan(store_put_crash=1.0, scratch=str(tmp_path / "m"))
-        store = FaultyStore(store_factory(), plan)
-        scheduler = Scheduler(jobs=1, store=store)
+        scheduler = Scheduler(jobs=1, store=store_factory(plan))
         results = scheduler.run(batch)
         report = scheduler.last_report
         assert report.completed == len(batch)
@@ -242,7 +251,7 @@ class TestStoreFaultInjection:
         for job in batch:
             real.put(job, execute_job(job))
         plan = FaultPlan(store_get_corrupt=1.0, scratch=str(tmp_path / "m"))
-        store = FaultyStore(store_factory(), plan)
+        store = store_factory(plan)
         scheduler = Scheduler(jobs=1, store=store)
         results = scheduler.run(batch)
         report = scheduler.last_report
@@ -263,11 +272,11 @@ class TestStoreFaultInjection:
     ):
         batch = _grid(2)
         plan = FaultPlan(store_lease_orphan=1.0, scratch=str(tmp_path / "m"))
-        store = FaultyStore(store_factory(), plan)
+        store = store_factory(plan)
         scheduler = Scheduler(jobs=1, store=store, lease_ttl=0.1)
         results = scheduler.run(batch)
         assert all(r is not None for r in results)
-        # Releases were swallowed: the leases are orphaned on disk.
+        # Releases were swallowed: the leases are orphaned in the medium.
         assert len(store.active_leases()) == len(batch)
         time.sleep(0.25)  # heartbeats go stale
         census = store.active_leases()
@@ -275,35 +284,14 @@ class TestStoreFaultInjection:
         store.prune(keep=100)  # maintenance sweeps the orphans
         assert store.active_leases() == []
 
-    def test_sqlite_busy_fault_is_retried_and_reported(self, tmp_path):
-        batch = _grid()
-        plan = FaultPlan(sqlite_busy=1.0, scratch=str(tmp_path / "m"))
-        store = FaultyStore(SqliteResultStore(tmp_path / "store"), plan)
-        scheduler = Scheduler(jobs=1, store=store)
-        results = scheduler.run(batch)
-        report = scheduler.last_report
-        assert report.completed == len(batch)
-        assert report.failed == 0
-        assert report.busy_retries >= len(batch)
-        assert "busy" in report.describe()
-        healthy = _healthy_results(batch)
-        assert [r.to_dict() for r in results] == [r.to_dict() for r in healthy]
-
-    def test_sqlite_busy_fault_noop_on_fs_backend(self, tmp_path):
-        plan = FaultPlan(sqlite_busy=1.0, scratch=str(tmp_path / "m"))
-        store = FaultyStore(FileResultStore(tmp_path / "store"), plan)
-        scheduler = Scheduler(jobs=1, store=store)
-        scheduler.run(_grid(2))
-        assert scheduler.last_report.busy_retries == 0
-
     def test_dotted_kinds_parse_from_spec(self):
         plan = FaultPlan.parse(
-            "store.put.crash=0.5,store.get.corrupt,sqlite.busy=0.25"
+            "store.put.crash=0.5,store.get.corrupt,store.lease.orphan=0.25"
         )
         assert plan.store_put_crash == 0.5
         assert plan.store_get_corrupt == 1.0
-        assert plan.sqlite_busy == 0.25
-        assert plan.store_lease_orphan == 0.0
+        assert plan.store_lease_orphan == 0.25
+        assert plan.net_reply_corrupt == 0.0
         assert plan.active()
 
 
@@ -389,11 +377,6 @@ class TestRobustnessCLI:
         from repro.cli import main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        out = {}
-
-        def _capture(capsys):
-            assert main(["cache", "stats", "--store", "sqlite"]) == 0
-            return capsys
 
         # Two invocations of an idle store render identically.
         import io
@@ -403,11 +386,11 @@ class TestRobustnessCLI:
         for _ in range(2):
             buffer = io.StringIO()
             with redirect_stdout(buffer):
-                assert main(["cache", "stats", "--store", "sqlite"]) == 0
+                assert main(["cache", "stats", "--store", "fs"]) == 0
             lines.append(buffer.getvalue())
         assert lines[0] == lines[1]
         assert (
-            "robustness [sqlite]: busy_retries=0 lease_contentions=0 "
+            "robustness [fs]: lease_contentions=0 "
             "leases_active=0 leases_stale=0 reconnects=0 "
             "retried_requests=0 stale_takeovers=0" in lines[0]
         )
@@ -427,8 +410,9 @@ class TestRobustnessCLI:
         from repro.cli import main
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(["cache", "stats", "--store", "redis"]) == 2
-        assert "unknown store backend" in capsys.readouterr().err
+        for name in ("redis", "sqlite"):
+            assert main(["cache", "stats", "--store", name]) == 2
+            assert "unknown store backend" in capsys.readouterr().err
 
     def test_runs_show_renders_store_line(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main

@@ -40,7 +40,7 @@ pytestmark = pytest.mark.skipif(
 def stress_target(request, tmp_path):
     """``(backend, target)`` for each backend, forked-worker ready.
 
-    ``fs``/``sqlite`` get a pre-created tmpdir root.  ``net`` gets one
+    ``fs`` gets a pre-created tmpdir root.  ``net`` gets one
     live fs-backed :class:`StoreServer` in the parent process; workers
     receive its ``host:port`` address and contend over real TCP.
     """
@@ -53,8 +53,8 @@ def stress_target(request, tmp_path):
         yield backend, f"{host}:{port}"
         server.close()
         return
-    # Pre-create the store root (and sqlite schema) before forking, so
-    # workers never race the one-time initialization.
+    # Pre-create the store root before forking, so workers never race
+    # the one-time initialization.
     BACKENDS[backend](base).stats()
     yield backend, base
 

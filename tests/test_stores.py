@@ -1,13 +1,15 @@
 """Backend contract tests for the pluggable result store.
 
 Every test in :class:`TestStoreContract` runs against every backend —
-the filesystem store, the sqlite store, and the networked store (a live
-in-test server on an ephemeral port) must be observably
-interchangeable: same hit/miss behavior, same validation and quarantine
-semantics, same lease protocol, same maintenance operations.  Backend
+the filesystem store and the networked store (a live in-test server on
+an ephemeral port) must be observably interchangeable: same hit/miss
+behavior, same validation and quarantine semantics, same lease
+protocol, same maintenance operations.  Entry damage is not part of the
+contract: tests inflict it on the medium (the fs directory both flavors
+share) and observe the result through the store under test.  Backend
 mechanics that cannot be expressed portably (fsync ordering, temp-file
-debris, WAL busy retries, reconnect machinery) get their own
-backend-specific classes below and in ``test_net_store.py``.
+debris, reconnect machinery) get their own backend-specific classes
+below and in ``test_net_store.py``.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import pytest
 
 from repro.common.errors import StoreError
 from repro.exec import SimJob, execute_job
+from repro.exec.faults import FaultPlan, FaultyStore
 from repro.exec.stores import (
     BACKENDS,
     FileResultStore,
     NetResultStore,
-    SqliteResultStore,
     from_url,
     make_store,
 )
@@ -33,10 +35,6 @@ from repro.exec.stores.base import STORE_BACKEND_ENV_VAR
 from repro.exec.stores.net import StoreServer
 
 ACCESSES = 4_000
-
-
-def _make_store(backend: str, base):
-    return BACKENDS[backend](base)
 
 
 @pytest.fixture(params=sorted(BACKENDS))
@@ -56,7 +54,18 @@ def any_store(request, tmp_path):
         client.close()
         server.close()
         return
-    yield _make_store(request.param, tmp_path / "store")
+    yield FileResultStore(tmp_path / "store")
+
+
+@pytest.fixture
+def medium(tmp_path):
+    """A handle on the fs directory behind ``any_store``, for damage.
+
+    The fs flavor *is* this directory; the net flavor's server is backed
+    by it.  Either way, entries damaged here are read back through the
+    store under test.
+    """
+    return FileResultStore(tmp_path / "store")
 
 
 def _job(seed: int = 1) -> SimJob:
@@ -78,40 +87,46 @@ class TestStoreContract:
         assert job in any_store
         assert any_store.get(job) == result
 
-    def test_truncated_entry_quarantined_never_served(self, any_store):
+    def test_truncated_entry_quarantined_never_served(self, any_store, medium):
         job = _job()
         any_store.put(job, execute_job(job))
-        assert any_store.corrupt_entry(job.key(), mode="truncate")
+        assert medium.corrupt_entry(job.key(), mode="truncate")
         assert any_store.get(job) is None
         assert any_store.stats().quarantined == 1
         assert any_store.get(job) is None  # stays a miss, not resurrected
 
-    def test_semantic_corruption_quarantined(self, any_store):
+    def test_semantic_corruption_quarantined(self, any_store, medium):
         """Parsable JSON with impossible counters must not be served."""
         job = _job()
         any_store.put(job, execute_job(job))
-        assert any_store.corrupt_entry(job.key(), mode="semantic")
+        assert medium.corrupt_entry(job.key(), mode="semantic")
         assert any_store.get(job) is None
         assert any_store.stats().quarantined == 1
         assert list(any_store.quarantined_entries())
 
-    def test_corrupt_entry_without_entry_reports_false(self, any_store):
-        assert not any_store.corrupt_entry("0" * 64)
+    def test_corrupt_entry_without_entry_reports_false(
+        self, any_store, medium
+    ):
+        assert not medium.corrupt_entry("0" * 64)
+        assert any_store.stats().entries == 0
 
-    def test_put_after_quarantine_recovers(self, any_store):
+    def test_put_after_quarantine_recovers(self, any_store, medium):
         job = _job()
         result = execute_job(job)
         any_store.put(job, result)
-        any_store.corrupt_entry(job.key())
+        medium.corrupt_entry(job.key())
         assert any_store.get(job) is None
         any_store.put(job, result)
         assert any_store.get(job) == result
         assert any_store.stats().quarantined == 1  # kept for post-mortem
 
-    def test_simulated_crash_mid_put_publishes_nothing(self, any_store):
+    def test_simulated_crash_mid_put_publishes_nothing(
+        self, any_store, tmp_path
+    ):
         job = _job()
-        with pytest.raises(StoreError):
-            any_store.simulate_crash_mid_put(job, execute_job(job))
+        plan = FaultPlan(store_put_crash=1.0, scratch=str(tmp_path / "m"))
+        with pytest.raises(StoreError, match="injected store crash"):
+            FaultyStore(any_store, plan).put(job, execute_job(job))
         assert any_store.get(job) is None
         assert any_store.stats().entries == 0
         # The store stays fully usable afterwards.
@@ -132,13 +147,10 @@ class TestStoreContract:
     def test_stale_lease_taken_over(self, any_store, monkeypatch):
         import repro.exec.stores.fs as fs_mod
         import repro.exec.stores.net as net_mod
-        import repro.exec.stores.sqlite as sq_mod
 
         key = _job().key()
         # A foreign process takes the lease, then crashes (no heartbeat).
-        holder_mod = {
-            "fs": fs_mod, "sqlite": sq_mod, "net": net_mod,
-        }[any_store.backend]
+        holder_mod = {"fs": fs_mod, "net": net_mod}[any_store.backend]
         monkeypatch.setattr(holder_mod, "lease_owner_id", lambda: "ghost:999")
         crashed = any_store.acquire_lease(key, ttl=0.05)
         monkeypatch.undo()
@@ -194,7 +206,6 @@ class TestStoreContract:
     def test_health_is_deterministic_and_complete(self, any_store):
         census = any_store.health()
         assert census == {
-            "busy_retries": 0,
             "lease_contentions": 0,
             "leases_active": 0,
             "leases_stale": 0,
@@ -204,7 +215,7 @@ class TestStoreContract:
         }
         line = any_store.describe_health()
         assert line == (
-            f"robustness [{any_store.backend}]: busy_retries=0 "
+            f"robustness [{any_store.backend}]: "
             "lease_contentions=0 leases_active=0 leases_stale=0 "
             "reconnects=0 retried_requests=0 stale_takeovers=0"
         )
@@ -223,32 +234,21 @@ class TestBackendSelection:
         monkeypatch.delenv(STORE_BACKEND_ENV_VAR, raising=False)
         assert isinstance(make_store(), FileResultStore)
 
-    def test_env_selects_sqlite(self, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV_VAR, "sqlite")
-        assert isinstance(make_store(), SqliteResultStore)
-
     def test_spec_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(STORE_BACKEND_ENV_VAR, "sqlite")
+        monkeypatch.setenv(STORE_BACKEND_ENV_VAR, "net://cachehost:4070")
         assert isinstance(make_store("fs"), FileResultStore)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(StoreError, match="accepted forms.*net://HOST:PORT"):
-            make_store("redis")
+        for name in ("redis", "sqlite"):
+            with pytest.raises(
+                StoreError, match="accepted forms.*net://HOST:PORT"
+            ):
+                make_store(name)
 
     def test_url_roots_fs_store(self, tmp_path):
         store = from_url(f"fs://{tmp_path / 'cache'}")
         assert isinstance(store, FileResultStore)
         assert store.base == tmp_path / "cache"
-
-    def test_url_roots_sqlite_store(self, tmp_path):
-        store = from_url(f"sqlite://{tmp_path / 'cache'}")
-        assert isinstance(store, SqliteResultStore)
-        assert store.path == tmp_path / "cache" / "store.sqlite"
-
-    def test_url_names_sqlite_db_file(self, tmp_path):
-        store = from_url(f"sqlite://{tmp_path / 'mine.sqlite'}")
-        assert store.path == tmp_path / "mine.sqlite"
-        assert store.base == tmp_path
 
     def test_url_without_scheme_rejected(self):
         with pytest.raises(
@@ -257,15 +257,21 @@ class TestBackendSelection:
             from_url("/no/scheme/here")
 
     def test_url_unknown_scheme_rejected(self):
-        with pytest.raises(
-            StoreError, match=r"unknown store backend 'redis'.*accepted forms"
+        for url, scheme in (
+            ("redis://somewhere", "redis"),
+            ("sqlite:///tmp/x", "sqlite"),
         ):
-            from_url("redis://somewhere")
+            with pytest.raises(
+                StoreError,
+                match=rf"unknown store backend '{scheme}'.*accepted forms",
+            ):
+                from_url(url)
 
     def test_make_store_accepts_urls(self, tmp_path, monkeypatch):
         monkeypatch.delenv(STORE_BACKEND_ENV_VAR, raising=False)
-        store = make_store(f"sqlite://{tmp_path / 'cache'}")
-        assert isinstance(store, SqliteResultStore)
+        store = make_store(f"fs://{tmp_path / 'cache'}")
+        assert isinstance(store, FileResultStore)
+        assert store.base == tmp_path / "cache"
 
     def test_url_builds_net_client(self):
         store = from_url("net://cachehost:4070")
@@ -420,89 +426,6 @@ class TestFileStoreDurability:
         sidecars = list(store.quarantine_dir.glob("*.reason"))
         assert len(sidecars) == 1
         assert "exceed" in sidecars[0].read_text(encoding="utf-8")
-
-
-# ----------------------------------------------------------------------
-# Sqlite backend mechanics: busy retries and fork safety
-# ----------------------------------------------------------------------
-
-
-class TestSqliteStore:
-    def test_injected_busy_is_retried_and_counted(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store")
-        job = _job()
-        store.put(job, execute_job(job))
-        store.inject_busy_once(times=2)
-        assert store.get(job) is not None  # retried through the busy spell
-        assert store.counters.busy_retries == 2
-
-    def test_busy_beyond_budget_degrades_to_store_error(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store", busy_retries=2)
-        store.inject_busy_once(times=10)
-        with pytest.raises(StoreError):
-            store.get(_job())
-        assert store.counters.busy_retries == 2
-
-    def test_non_busy_sqlite_error_is_store_error(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store")
-        job = _job()
-        store.put(job, execute_job(job))
-        store._connection().execute("DROP TABLE entries")
-        with pytest.raises(StoreError):
-            store.get(job)
-
-    def test_single_file_layout(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store")
-        job = _job()
-        assert store.put(job, execute_job(job)) == job.key()
-        files = {
-            p.name
-            for p in (tmp_path / "store").iterdir()
-            if not p.name.startswith("store.sqlite-")  # WAL side files
-        }
-        assert files == {"store.sqlite"}
-
-    def test_quarantine_rows_record_reason(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store")
-        job = _job()
-        store.put(job, execute_job(job))
-        store.corrupt_entry(job.key(), mode="truncate")
-        assert store.get(job) is None
-        rows = list(store.quarantined_entries())
-        assert rows and rows[0][0] == job.key()
-        assert "JSON" in rows[0][1]
-
-    def test_prune_age_uses_created_column(self, tmp_path):
-        store = SqliteResultStore(tmp_path / "store")
-        job = _job()
-        store.put(job, execute_job(job))
-        store._connection().execute(
-            "UPDATE entries SET created = ?", (time.time() - 10 * 86400,)
-        )
-        assert store.prune(max_age_days=5) == 1
-        assert store.stats().entries == 0
-
-    def test_payloads_match_fs_codec(self, tmp_path):
-        """Both backends persist the identical (v2-packed) entry payload."""
-        from repro.exec.stores.base import ENTRY_MAGIC, inflate_entry
-
-        fs_store = FileResultStore(tmp_path / "fs")
-        sq_store = SqliteResultStore(tmp_path / "sq")
-        job = _job()
-        result = execute_job(job)
-        path = fs_store.put(job, result)
-        sq_store.put(job, result)
-        fs_raw = path.read_bytes()
-        row = sq_store._connection().execute(
-            "SELECT payload FROM entries WHERE key = ?", (job.key(),)
-        ).fetchone()
-        assert fs_raw.startswith(ENTRY_MAGIC)
-        assert bytes(row[0]).startswith(ENTRY_MAGIC)
-        fs_payload = json.loads(inflate_entry(fs_raw))
-        sq_payload = json.loads(inflate_entry(bytes(row[0])))
-        fs_payload.pop("created")
-        sq_payload.pop("created")
-        assert fs_payload == sq_payload
 
 
 class TestEntryCodec:
