@@ -25,6 +25,7 @@ from repro.common import (
     tiny_system_config,
 )
 from repro.exec import BatchReport, ResultStore, Scheduler, SimJob, run_jobs
+from repro.experiments.harness import alone_ipc
 from repro.metrics import (
     average_normalized_turnaround,
     fairness,
@@ -37,8 +38,6 @@ from repro.nucache import NUCache
 from repro.sim import (
     MulticoreEngine,
     SimResult,
-    alone_ipc,
-    alone_ipcs_for_mix,
     make_llc,
     policy_names,
     run_mix,
@@ -74,7 +73,6 @@ __all__ = [
     "Trace",
     "__version__",
     "alone_ipc",
-    "alone_ipcs_for_mix",
     "average_normalized_turnaround",
     "benchmark",
     "benchmark_names",

@@ -67,9 +67,10 @@ from repro.exec import RunJournal
 from repro.exec import context as exec_context
 from repro.exec import journal as run_journal
 from repro.experiments import experiment_ids, run_experiment
+from repro.experiments.harness import alone_ipc
 from repro.metrics.multicore import weighted_speedup
 from repro.sim.policies import policy_names
-from repro.sim.runner import DEFAULT_ACCESSES, alone_ipc, run_mix, run_single
+from repro.sim.runner import DEFAULT_ACCESSES, run_mix, run_single
 from repro.sim.vector import ENGINE_ENV, ENGINE_MODES
 from repro.workloads.mixes import all_mixes, mix_members
 from repro.workloads.spec_like import catalog

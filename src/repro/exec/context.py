@@ -30,7 +30,7 @@ from repro.common.errors import ExecError, RunInterrupted
 from repro.exec.faults import FaultPlan, FaultyExecute, FaultyStore
 from repro.exec.job import SimJob, execute_job
 from repro.exec.journal import RunJournal
-from repro.exec.scheduler import BatchReport, ProgressHook, Scheduler
+from repro.exec.scheduler import BatchReport, Scheduler
 from repro.exec.stores import AbstractResultStore, make_store
 from repro.sim.engine import SimResult
 
@@ -57,9 +57,6 @@ class ExecConfig:
 
     jobs: int = 1
     use_cache: bool = True
-    timeout: Optional[float] = None
-    retries: int = 1
-    progress: Optional[ProgressHook] = None
     #: When set, every executed job runs under cProfile and dumps its
     #: stats here (``run --profile``); empty/None disables profiling.
     profile_dir: Optional[str] = None
@@ -84,9 +81,6 @@ def current() -> ExecConfig:
 def configure(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
-    timeout: Optional[float] = None,
-    retries: Optional[int] = None,
-    progress: Optional[ProgressHook] = None,
     profile_dir: Optional[str] = None,
     store: Optional[str] = None,
 ) -> ExecConfig:
@@ -103,12 +97,6 @@ def configure(
         config.jobs = int(jobs)
     if use_cache is not None:
         config.use_cache = bool(use_cache)
-    if timeout is not None:
-        config.timeout = timeout
-    if retries is not None:
-        config.retries = retries
-    if progress is not None:
-        config.progress = progress
     if profile_dir is not None:
         config.profile_dir = profile_dir or None
     if store is not None:
@@ -153,7 +141,7 @@ def resolve_store() -> Optional[AbstractResultStore]:
     return make_store(config.store)
 
 
-def get_scheduler(progress: Optional[ProgressHook] = None) -> Scheduler:
+def get_scheduler() -> Scheduler:
     """A scheduler honouring the current process-wide config.
 
     When ``REPRO_FAULTS`` is set (see :mod:`repro.exec.faults`), the job
@@ -172,14 +160,7 @@ def get_scheduler(progress: Optional[ProgressHook] = None) -> Scheduler:
         from repro.obs.profile import ProfiledExecute
 
         execute = ProfiledExecute(execute, config.profile_dir)
-    return Scheduler(
-        jobs=config.jobs,
-        store=store,
-        timeout=config.timeout,
-        retries=config.retries,
-        progress=progress if progress is not None else config.progress,
-        execute=execute,
-    )
+    return Scheduler(jobs=config.jobs, store=store, execute=execute)
 
 
 def run_jobs(

@@ -33,6 +33,40 @@ def sim_grid(jobs: Sequence["object"], label: Optional[str] = None) -> List["obj
     return run_jobs(jobs, label=label or f"grid:{len(jobs)}jobs")
 
 
+def ablation_rows(
+    sweeps: Dict[str, Dict[str, Dict[str, object]]],
+    benchmarks: Sequence[str],
+    accesses: int,
+    seed: int,
+) -> List[Dict[str, object]]:
+    """Single-core NUcache ablations as IPC normalized to LRU, one batch.
+
+    ``sweeps`` maps an ablation tag to ``{column: nucache overrides}``.
+    Each (ablation, benchmark) pair becomes one row; the LRU baselines
+    the ablations share are deduplicated inside the batch.
+    """
+    from repro.exec import SimJob
+
+    batch = []
+    for variants in sweeps.values():
+        for name in benchmarks:
+            batch.append(SimJob.single(name, "lru", accesses, seed))
+            batch.extend(
+                SimJob.single(name, "nucache", accesses, seed, **overrides)
+                for overrides in variants.values()
+            )
+    results = iter(sim_grid(batch))
+    rows: List[Dict[str, object]] = []
+    for ablation, variants in sweeps.items():
+        for name in benchmarks:
+            baseline_ipc = next(results).cores[0].ipc
+            row: Dict[str, object] = {"ablation": ablation, "benchmark": name}
+            for column in variants:
+                row[column] = round(next(results).cores[0].ipc / baseline_ipc, 4)
+            rows.append(row)
+    return rows
+
+
 def scaled_accesses(default: int) -> int:
     """Apply the ``REPRO_SCALE`` environment scaling to a trace length."""
     raw = os.environ.get(SCALE_ENV_VAR)

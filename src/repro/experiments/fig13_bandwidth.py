@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from repro.common.rng import DEFAULT_SEED
 from repro.exec import SimJob
-from repro.experiments.base import ExperimentResult, scaled_accesses, sim_grid
+from repro.experiments.base import ExperimentResult, scaled_accesses
+from repro.experiments.harness import resolve_with_alone
 from repro.metrics.multicore import geometric_mean, weighted_speedup
-from repro.sim.runner import alone_ipc
-from repro.workloads.mixes import mix_members, mix_names
+from repro.workloads.mixes import mix_names
 
 EXPERIMENT_ID = "fig13"
 TITLE = "Eight-core NUcache vs LRU under fixed-latency and bandwidth-limited memory"
@@ -28,25 +28,20 @@ def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED,
     """Run the mix table under both memory models."""
     accesses = scaled_accesses(accesses)
     mixes = mix_names(num_cores)
-    results = iter(
-        sim_grid(
-            [
-                SimJob.mix(mix_name, policy, accesses, seed, memory_model=model)
-                for mix_name in mixes
-                for model in MEMORY_MODELS
-                for policy in ("lru", "nucache")
-            ]
-        )
-    )
+    mix_jobs = [
+        SimJob.mix(mix_name, policy, accesses, seed, memory_model=model)
+        for mix_name in mixes
+        for model in MEMORY_MODELS
+        for policy in ("lru", "nucache")
+    ]
+    results = iter(resolve_with_alone(mix_jobs, label=f"{EXPERIMENT_ID}-grid"))
     rows = []
     improvements = {model: [] for model in MEMORY_MODELS}
     for mix_name in mixes:
-        members = mix_members(mix_name)
-        alone = [alone_ipc(name, num_cores, accesses, seed) for name in members]
         row: dict = {"mix": mix_name}
         for model in MEMORY_MODELS:
-            base = next(results)
-            nuca = next(results)
+            base, alone = next(results)
+            nuca, _ = next(results)
             base_ws = weighted_speedup(base.ipcs, alone)
             nuca_ws = weighted_speedup(nuca.ipcs, alone)
             gain = nuca_ws / base_ws - 1.0

@@ -16,12 +16,54 @@ the assembled rows are identical at any worker count or cache state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.rng import DEFAULT_SEED
 from repro.exec import SimJob, run_jobs
 from repro.metrics.multicore import geometric_mean, weighted_speedup
-from repro.workloads.mixes import mix_members, mix_names
+from repro.sim.engine import SimResult
+from repro.sim.runner import DEFAULT_ACCESSES
+from repro.workloads.mixes import mix_names
+
+
+def alone_ipc(
+    benchmark_name: str,
+    num_cores_capacity: int,
+    accesses: int = DEFAULT_ACCESSES,
+    seed: int = DEFAULT_SEED,
+    policy: str = "lru",
+) -> float:
+    """Alone-run IPC (weighted-speedup denominator): one benchmark, whole LLC.
+
+    A one-job batch through the scheduler, so the result comes from the
+    store when present and degrades to computing when the store fails.
+    """
+    job = SimJob.alone(benchmark_name, num_cores_capacity, accesses, seed, policy)
+    return run_jobs([job], label=f"alone:{benchmark_name}")[0].cores[0].ipc
+
+
+def resolve_with_alone(
+    mix_jobs: Sequence[SimJob], label: str
+) -> List[Tuple[SimResult, List[float]]]:
+    """Resolve mix jobs and their alone-run denominators as one batch.
+
+    The batch is ``mix_jobs`` followed by one alone job (LRU on the full
+    shared LLC) per member of each distinct workload, in first-seen
+    order.  Returns, per mix job, its result and its members' alone IPCs.
+    """
+    workloads = list(dict.fromkeys((job.members, job.accesses, job.seed) for job in mix_jobs))
+    alone_jobs = [
+        SimJob.alone(name, len(members), accesses, seed)
+        for members, accesses, seed in workloads
+        for name in members
+    ]
+    results = run_jobs(list(mix_jobs) + alone_jobs, label=label)
+    alone_ipcs = iter(result.cores[0].ipc for result in results[len(mix_jobs):])
+    alone = {workload: [next(alone_ipcs) for _ in workload[0]] for workload in workloads}
+    return [
+        (result, alone[(job.members, job.accesses, job.seed)])
+        for job, result in zip(mix_jobs, results)
+    ]
 
 
 def grid_weighted_speedups(
@@ -42,31 +84,14 @@ def grid_weighted_speedups(
         for mix_name in mixes
         for policy in policies
     ]
-    alone_jobs = [
-        SimJob.alone(name, len(mix_members(mix_name)), accesses, seed)
-        for mix_name in mixes
-        for name in mix_members(mix_name)
-    ]
-    batch = mix_jobs + alone_jobs
     label = f"speedup-grid:{len(mixes)}mixes x {len(policies)}policies"
-    resolved = dict(zip((job.key() for job in batch), run_jobs(batch, label=label)))
-
+    resolved = iter(resolve_with_alone(mix_jobs, label))
     speedups: Dict[str, Dict[str, float]] = {}
     for mix_name in mixes:
-        members = mix_members(mix_name)
-        alone = [
-            resolved[SimJob.alone(name, len(members), accesses, seed).key()]
-            .cores[0]
-            .ipc
-            for name in members
-        ]
-        speedups[mix_name] = {
-            policy: weighted_speedup(
-                resolved[SimJob.mix(mix_name, policy, accesses, seed).key()].ipcs,
-                alone,
-            )
-            for policy in policies
-        }
+        speedups[mix_name] = {}
+        for policy in policies:
+            result, alone = next(resolved)
+            speedups[mix_name][policy] = weighted_speedup(result.ipcs, alone)
     return speedups
 
 

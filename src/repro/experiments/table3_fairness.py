@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from repro.common.rng import DEFAULT_SEED
 from repro.exec import SimJob
-from repro.experiments.base import ExperimentResult, scaled_accesses, sim_grid
+from repro.experiments.base import ExperimentResult, scaled_accesses
+from repro.experiments.harness import resolve_with_alone
 from repro.metrics.multicore import (
     average_normalized_turnaround,
     fairness,
     harmonic_mean_speedup,
 )
-from repro.sim.runner import alone_ipc
-from repro.workloads.mixes import mix_members, mix_names
+from repro.workloads.mixes import mix_names
 
 EXPERIMENT_ID = "table3"
 TITLE = "Quad-core fairness metrics: ANTT, harmonic speedup, min/max fairness"
@@ -30,22 +30,17 @@ def run(accesses: int = DEFAULT_ACCESSES, seed: int = DEFAULT_SEED,
     """Compute the fairness table."""
     accesses = scaled_accesses(accesses)
     mixes = mix_names(num_cores)
-    results = iter(
-        sim_grid(
-            [
-                SimJob.mix(mix_name, policy, accesses, seed)
-                for mix_name in mixes
-                for policy in ("lru", "nucache")
-            ]
-        )
-    )
+    mix_jobs = [
+        SimJob.mix(mix_name, policy, accesses, seed)
+        for mix_name in mixes
+        for policy in ("lru", "nucache")
+    ]
+    results = iter(resolve_with_alone(mix_jobs, label=f"{EXPERIMENT_ID}-grid"))
     rows = []
     for mix_name in mixes:
-        members = mix_members(mix_name)
-        alone = [alone_ipc(name, num_cores, accesses, seed) for name in members]
         row: dict = {"mix": mix_name}
         for policy in ("lru", "nucache"):
-            result = next(results)
+            result, alone = next(results)
             row[f"{policy}:antt"] = round(
                 average_normalized_turnaround(result.ipcs, alone), 3
             )

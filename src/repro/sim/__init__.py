@@ -6,9 +6,6 @@ from repro.sim.memory import BandwidthLimitedMemory, FixedLatencyMemory
 from repro.sim.policies import make_llc, policy_names
 from repro.sim.runner import (
     DEFAULT_ACCESSES,
-    alone_ipc,
-    alone_ipcs_for_mix,
-    clear_alone_memo,
     make_traces,
     run_mix,
     run_single,
@@ -23,9 +20,6 @@ __all__ = [
     "FixedLatencyMemory",
     "MulticoreEngine",
     "SimResult",
-    "alone_ipc",
-    "alone_ipcs_for_mix",
-    "clear_alone_memo",
     "make_llc",
     "make_traces",
     "policy_names",

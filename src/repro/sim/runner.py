@@ -1,4 +1,4 @@
-"""High-level run helpers: single benchmarks, mixes, alone baselines.
+"""High-level run helpers: single benchmarks and mixes.
 
 These are the functions the experiment drivers, examples and CLI call.
 They encapsulate the conventions of the study:
@@ -9,15 +9,14 @@ They encapsulate the conventions of the study:
   LRU — the denominator of weighted speedup;
 * trace lengths are expressed in accesses per core.
 
-Alone results are memoized per (benchmark, core-count, length, seed)
-because every mix of an experiment reuses them — in-process via a plain
-dict, across processes and invocations via the content-addressed result
-store (:mod:`repro.exec`).
+Nothing here caches: the experiments resolve these runs as
+:class:`~repro.exec.job.SimJob` batches through the scheduler, which
+owns the result store.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.common.config import SystemConfig, paper_system_config
 from repro.common.rng import DEFAULT_SEED
@@ -143,60 +142,3 @@ def run_single(
         warmup_fraction=warmup_fraction, prefetchers=prefetchers,
     )
     return engine.run()
-
-
-#: In-process memo of alone IPCs, backed by the persistent result store.
-_ALONE_MEMO: Dict[Tuple[str, int, int, int, str], float] = {}
-
-
-def clear_alone_memo() -> None:
-    """Drop the in-process alone-IPC memo (tests use this)."""
-    _ALONE_MEMO.clear()
-
-
-def alone_ipc(
-    benchmark_name: str,
-    num_cores_capacity: int,
-    accesses: int = DEFAULT_ACCESSES,
-    seed: int = DEFAULT_SEED,
-    policy: str = "lru",
-) -> float:
-    """Memoized alone-run IPC (weighted-speedup denominator).
-
-    Misses are looked up in the content-addressed result store before
-    simulating, so alone baselines are shared across worker processes
-    and across invocations of the harness.
-    """
-    memo_key = (benchmark_name, num_cores_capacity, accesses, seed, policy)
-    cached = _ALONE_MEMO.get(memo_key)
-    if cached is not None:
-        return cached
-    # Imported lazily: repro.exec imports this module at load time.
-    from repro.exec import SimJob
-    from repro.exec.context import resolve_store
-
-    job = SimJob.alone(benchmark_name, num_cores_capacity, accesses, seed, policy)
-    store = resolve_store()
-    result = store.get(job) if store is not None else None
-    if result is None:
-        result = run_single(
-            benchmark_name, policy, accesses, seed, num_cores_capacity
-        )
-        if store is not None:
-            store.put(job, result)
-    ipc = result.cores[0].ipc
-    _ALONE_MEMO[memo_key] = ipc
-    return ipc
-
-
-def alone_ipcs_for_mix(
-    mix_name: str,
-    accesses: int = DEFAULT_ACCESSES,
-    seed: int = DEFAULT_SEED,
-) -> Dict[str, float]:
-    """Alone IPCs for every member of a mix (keyed per core position)."""
-    members = mix_members(mix_name)
-    return {
-        f"{core}:{name}": alone_ipc(name, len(members), accesses, seed)
-        for core, name in enumerate(members)
-    }

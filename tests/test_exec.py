@@ -16,7 +16,8 @@ from repro.exec import (
 )
 from repro.exec import context as exec_context
 from repro.sim.engine import CoreResult, SimResult
-from repro.sim.runner import alone_ipc, clear_alone_memo, run_single
+from repro.experiments.harness import alone_ipc
+from repro.sim.runner import run_single
 from repro.workloads.mixes import mix_members
 
 ACCESSES = 4_000
@@ -548,14 +549,16 @@ class TestContext:
         assert totals.total == 1
         assert totals.completed + totals.cached == 1
 
-    def test_alone_ipc_served_from_store_across_memo_clears(self):
+    def test_alone_ipc_served_from_store(self):
         first = alone_ipc("twolf_like", 2, ACCESSES)
-        clear_alone_memo()
         store = exec_context.resolve_store()
         job = SimJob.alone("twolf_like", 2, ACCESSES)
         assert store.get(job) is not None
+        exec_context.reset_totals()
         second = alone_ipc("twolf_like", 2, ACCESSES)
         assert second == first
+        totals = exec_context.totals()
+        assert (totals.completed, totals.cached) == (0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -564,12 +567,33 @@ class TestContext:
 
 
 class TestHarnessEquivalence:
-    def test_mix_speedups_identical_serial_vs_parallel(self):
+    """``jobs=1`` and ``jobs=2`` agree, and a rerun is all store hits."""
+
+    @staticmethod
+    def _assert_equivalent(compute, tmp_path):
+        outputs = []
+        for jobs in (1, 2):
+            exec_context.configure(jobs=jobs, store=f"fs://{tmp_path / f'store-{jobs}'}")
+            outputs.append(compute())
+        assert outputs[0] == outputs[1]
+        exec_context.reset_totals()
+        assert compute() == outputs[0]
+        totals = exec_context.totals()
+        assert totals.completed == 0
+        assert totals.cached > 0
+
+    def test_mix_speedups_identical_serial_vs_parallel(self, tmp_path):
         from repro.experiments.harness import mix_weighted_speedups
 
-        exec_context.configure(jobs=1, use_cache=False)
-        serial = mix_weighted_speedups("mix2_1", ("lru", "nucache"), ACCESSES)
-        clear_alone_memo()
-        exec_context.configure(jobs=4, use_cache=False)
-        parallel = mix_weighted_speedups("mix2_1", ("lru", "nucache"), ACCESSES)
-        assert parallel == serial
+        self._assert_equivalent(
+            lambda: mix_weighted_speedups("mix2_1", ("lru", "nucache"), ACCESSES),
+            tmp_path,
+        )
+
+    def test_fig10_identical_serial_vs_parallel(self, tmp_path, monkeypatch):
+        from repro.experiments import fig10_hardware_ablations
+
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        self._assert_equivalent(
+            lambda: fig10_hardware_ablations.run(ACCESSES).to_text(), tmp_path
+        )

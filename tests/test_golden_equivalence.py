@@ -12,6 +12,10 @@ against artifacts captured from the unoptimized kernel:
   bandwidth memory model).
 * ``tests/golden/fig3_fig5_scale05.txt`` — full CLI stdout of
   ``REPRO_SCALE=0.05 run fig3 fig5``.
+* ``tests/golden/fig9_fig10_fig12_fig13_table3_scale05.txt`` — CLI
+  stdout of ``REPRO_SCALE=0.05 run fig9 fig10 fig12 fig13 table3
+  --jobs 2``: the single-core sweeps and the drivers that mix their
+  own weighted-speedup denominators.
 * Three pinned :meth:`SimJob.key` hashes — a semantics-preserving
   refactor must not bump :data:`~repro.exec.job.ENGINE_VERSION` or
   otherwise move results in the content-addressed store.
@@ -132,9 +136,10 @@ class TestStoreKeyStability:
 
 @pytest.mark.slow
 class TestFigureStdoutGolden:
-    """fig3 + fig5 CLI stdout is byte-identical to the captured run."""
+    """Figure CLI stdout is byte-identical to the captured runs."""
 
-    def test_fig3_fig5_stdout(self, monkeypatch, tmp_path, capsys):
+    @staticmethod
+    def _run_stdout(argv, monkeypatch, tmp_path, capsys) -> str:
         from repro.cli import main
         from repro.exec import context as exec_context
 
@@ -143,11 +148,22 @@ class TestFigureStdoutGolden:
         monkeypatch.delenv("REPRO_JOBS", raising=False)
         exec_context.reset()
         try:
-            assert main(["run", "fig3", "fig5"]) == 0
+            assert main(["run", *argv]) == 0
         finally:
             exec_context.reset()
-        out = capsys.readouterr().out
+        return capsys.readouterr().out
+
+    def test_fig3_fig5_stdout(self, monkeypatch, tmp_path, capsys):
+        out = self._run_stdout(["fig3", "fig5"], monkeypatch, tmp_path, capsys)
         golden = (GOLDEN_DIR / "fig3_fig5_scale05.txt").read_text(encoding="utf-8")
+        assert out == golden
+
+    def test_fig9_fig10_fig12_fig13_table3_stdout(self, monkeypatch, tmp_path, capsys):
+        argv = ["fig9", "fig10", "fig12", "fig13", "table3", "--jobs", "2"]
+        out = self._run_stdout(argv, monkeypatch, tmp_path, capsys)
+        golden = (GOLDEN_DIR / "fig9_fig10_fig12_fig13_table3_scale05.txt").read_text(
+            encoding="utf-8"
+        )
         assert out == golden
 
 
@@ -155,4 +171,5 @@ def test_golden_artifacts_exist():
     """The captured artifacts ship with the repo (guards against loss)."""
     assert (GOLDEN_DIR / "simresults.json").is_file()
     assert (GOLDEN_DIR / "fig3_fig5_scale05.txt").is_file()
+    assert (GOLDEN_DIR / "fig9_fig10_fig12_fig13_table3_scale05.txt").is_file()
     assert os.path.getsize(GOLDEN_DIR / "simresults.json") > 1_000

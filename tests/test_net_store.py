@@ -361,6 +361,28 @@ class TestDegradedMode:
         healthy = _healthy_results(batch)
         assert [r.to_dict() for r in results] == [r.to_dict() for r in healthy]
 
+    @pytest.mark.parametrize("experiment", ["fig13", "table3"])
+    def test_lost_store_driver_matches_clean_run(self, experiment, tmp_path, monkeypatch):
+        """A driver's alone-run denominators degrade with its mix runs."""
+        from repro.exec import context as exec_context
+        from repro.experiments import fig13_bandwidth, table3_fairness
+
+        run = {"fig13": fig13_bandwidth.run, "table3": table3_fairness.run}[experiment]
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        exec_context.reset()
+        try:
+            # The lost-store run goes first, so nothing it needs can come
+            # from an earlier run in this process.
+            exec_context.configure(jobs=1, store=f"net://127.0.0.1:{_free_port()}")
+            lost = run(accesses=ACCESSES).to_text()
+            degraded = exec_context.totals().degraded
+            exec_context.configure(store=f"fs://{tmp_path / 'clean'}")
+            clean = run(accesses=ACCESSES).to_text()
+        finally:
+            exec_context.reset()
+        assert lost == clean
+        assert degraded > 0
+
     def test_client_mid_drain_sees_storeerror_not_a_hang(self, live):
         server, client, _backing = live
         client.stats()  # a healthy, connected client
