@@ -26,9 +26,6 @@ Subcommands::
     nucache-repro check --replay <file>               # replay a reproducer
     nucache-repro characterize art_like               # reuse-distance report
     nucache-repro trace art_like -o art.trace         # export a trace
-    nucache-repro bench --quick -o BENCH_now.json     # perf benchmarks
-    nucache-repro bench compare BENCH_baseline.json BENCH_now.json \
-        --max-regress 15%                             # perf-regression gate
 
 Every ``run`` writes an append-only journal (one JSONL manifest under
 ``<cache dir>/runs/``).  A run interrupted by SIGINT/SIGTERM drains
@@ -57,6 +54,7 @@ output go to stderr so tables on stdout stay byte-stable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -674,56 +672,6 @@ def _cmd_sim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        benchmark_names,
-        compare_payloads,
-        load_payload,
-        parse_regress_threshold,
-        run_suite,
-        save_payload,
-    )
-
-    if getattr(args, "bench_cmd", None) == "compare":
-        try:
-            threshold = parse_regress_threshold(args.max_regress)
-            baseline = load_payload(args.baseline)
-            candidate = load_payload(args.candidate)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        report = compare_payloads(baseline, candidate, threshold)
-        print(report.render())
-        return report.exit_code
-    # default action: run the suite
-    names = args.only or None
-    if names:
-        unknown = sorted(set(names) - set(benchmark_names()))
-        if unknown:
-            print(
-                f"error: unknown benchmark(s) {unknown}; "
-                f"known: {benchmark_names()}",
-                file=sys.stderr,
-            )
-            return 2
-    payload = run_suite(
-        quick=args.quick,
-        repetitions=args.repetitions,
-        names=names,
-        progress=lambda name: print(f"[bench] running {name}...", file=sys.stderr),
-    )
-    for name, entry in payload["benchmarks"].items():
-        print(
-            f"{name:<16} {entry['ops_per_sec']:>14,.0f} {entry['unit']}/s "
-            f"(median {entry['median_s']:.4f}s over {entry['repetitions']} reps, "
-            f"{entry['ops']:,} ops)"
-        )
-    if args.output:
-        save_payload(payload, args.output)
-        print(f"[bench] payload written to {args.output}", file=sys.stderr)
-    return 0
-
-
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.check.fuzz import load_reproducer, replay_stream, run_check
 
@@ -774,11 +722,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def _positive_int(raw: str) -> int:
-    value = int(raw)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw}")
-    return value
+def _bounded(kind: type, low: float, high: float, what: str):
+    """An argparse ``type``: ``kind(raw)``, rejected unless in ``[low, high]``."""
+    def parse(raw: str):
+        value = kind(raw)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {raw}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_positive_int = _bounded(int, 1, math.inf, "a positive integer")
+_non_negative_int = _bounded(int, 0, math.inf, "a non-negative integer")
+_non_negative_float = _bounded(float, 0, math.inf, "a non-negative number")
+_port = _bounded(int, 0, 65535, "a port in 0-65535")
 
 
 #: Help text of every ``--store`` flag.
@@ -936,7 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--mix", help="mix name (e.g. mix4_1)")
     group.add_argument("--benchmark", help="benchmark name (e.g. art_like)")
     sim_parser.add_argument("--policy", default="nucache", choices=policy_names())
-    sim_parser.add_argument("--accesses", type=int, default=DEFAULT_ACCESSES)
+    sim_parser.add_argument("--accesses", type=_positive_int, default=DEFAULT_ACCESSES)
     sim_parser.add_argument(
         "--seed", type=int, default=DEFAULT_SEED,
         help="root RNG seed for trace generation (default: %(default)s)",
@@ -957,11 +915,11 @@ def build_parser() -> argparse.ArgumentParser:
         "prune: trim by age and/or count",
     )
     cache_parser.add_argument(
-        "--keep", type=int, default=None, metavar="N",
+        "--keep", type=_non_negative_int, default=None, metavar="N",
         help="prune: keep only the N most recent entries",
     )
     cache_parser.add_argument(
-        "--max-age-days", type=float, default=None, metavar="D",
+        "--max-age-days", type=_non_negative_float, default=None, metavar="D",
         help="prune: drop entries older than D days",
     )
     cache_parser.add_argument(
@@ -987,53 +945,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="interface to bind (default: 127.0.0.1; 0.0.0.0 for a fleet)",
     )
     store_parser.add_argument(
-        "--port", type=int, default=0, metavar="PORT",
+        "--port", type=_port, default=0, metavar="PORT",
         help="port to bind (default: 0 = kernel-assigned; the chosen "
         "port is printed as 'listening on HOST:PORT')",
     )
     store_parser.set_defaults(func=_cmd_store)
-
-    def _add_bench_run_args(target: argparse.ArgumentParser) -> None:
-        target.add_argument(
-            "--quick", action="store_true",
-            help="smaller op counts and fewer repetitions (the CI mode)",
-        )
-        target.add_argument(
-            "--repetitions", type=_positive_int, default=None, metavar="K",
-            help="repetitions per case; the median is reported "
-            "(default: 5 full / 3 quick)",
-        )
-        target.add_argument(
-            "--only", nargs="*", default=None, metavar="NAME",
-            help="run only these benchmarks (see docs/benchmarking.md)",
-        )
-        target.add_argument(
-            "-o", "--output", default=None, metavar="PATH",
-            help="write the schema-versioned JSON payload here "
-            "(e.g. BENCH_candidate.json)",
-        )
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="run performance benchmarks or compare payloads"
-    )
-    # `bench --quick` (no sub-subcommand) runs the suite directly.
-    _add_bench_run_args(bench_parser)
-    bench_sub = bench_parser.add_subparsers(dest="bench_cmd")
-    bench_run = bench_sub.add_parser("run", help="run the benchmark suite")
-    _add_bench_run_args(bench_run)
-    bench_compare = bench_sub.add_parser(
-        "compare", help="compare two payloads; exit 1 on regression"
-    )
-    bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
-    bench_compare.add_argument("candidate", help="candidate BENCH_*.json")
-    bench_compare.add_argument(
-        "--max-regress", default="15%", metavar="PCT",
-        help="fail when a benchmark is slower than baseline by more than "
-        "this ('15%%' or '0.15'; default %(default)s)",
-    )
-    bench_parser.set_defaults(func=_cmd_bench)
-    bench_run.set_defaults(func=_cmd_bench)
-    bench_compare.set_defaults(func=_cmd_bench)
 
     check_parser = subparsers.add_parser(
         "check",
@@ -1070,7 +986,7 @@ def build_parser() -> argparse.ArgumentParser:
         "characterize", help="reuse-distance characterization of a benchmark"
     )
     char_parser.add_argument("benchmark")
-    char_parser.add_argument("--accesses", type=int, default=50_000)
+    char_parser.add_argument("--accesses", type=_positive_int, default=50_000)
     char_parser.set_defaults(func=_cmd_characterize)
 
     trace_parser = subparsers.add_parser(
@@ -1081,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", required=True,
         help="output path (.npz for native, anything else for text)",
     )
-    trace_parser.add_argument("--accesses", type=int, default=DEFAULT_ACCESSES)
+    trace_parser.add_argument("--accesses", type=_positive_int, default=DEFAULT_ACCESSES)
     trace_parser.add_argument("--seed", type=int, default=20110212)
     trace_parser.set_defaults(func=_cmd_trace)
     return parser

@@ -55,6 +55,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "defrag"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "--benchmark", "art_like", "--accesses", "0"],
+            ["sim", "--mix", "mix2_1", "--accesses", "-5"],
+            ["trace", "art_like", "-o", "unused.trace", "--accesses", "0"],
+            ["characterize", "art_like", "--accesses", "-5"],
+            ["store", "serve", "--port", "70000"],
+            ["store", "serve", "--port", "-1"],
+        ],
+        ids=["sim-zero", "sim-negative", "trace-zero", "characterize-negative",
+             "port-too-high", "port-negative"],
+    )
+    def test_out_of_range_numbers_are_usage_errors(self, argv, capsys):
+        """Out-of-range numbers exit 2 with a usage line, not a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
 
 class TestExecution:
     def test_list_runs(self, capsys):
@@ -101,6 +121,22 @@ class TestExecution:
 
     def test_cache_prune_requires_a_bound(self, capsys):
         assert main(["cache", "prune"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--keep", "-1"], ["--max-age-days", "-1"]],
+                             ids=["keep", "max-age-days"])
+    def test_cache_prune_rejects_negative_bounds(self, flags, tmp_path, capsys):
+        """A negative bound is a usage error and leaves every entry in place."""
+        from repro.exec import SimJob, execute_job
+        from repro.exec.stores import FileResultStore
+
+        store = FileResultStore(tmp_path)
+        for seed in (1, 2, 3):
+            job = SimJob.single("hmmer_like", "lru", 2_000, seed=seed)
+            store.put(job, execute_job(job))
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "prune", "--store", f"fs://{tmp_path}", *flags])
+        assert exc.value.code == 2
+        assert store.stats().entries == 3
 
     def test_run_reports_exec_summary(self, capsys):
         import os

@@ -29,7 +29,6 @@ from typing import Iterator, List, Tuple
 #: Defaults checked when no paths are given: the layers whose public
 #: APIs carry the documented execution/observability contracts.
 DEFAULT_PATHS = (
-    "src/repro/bench",
     "src/repro/check",
     "src/repro/exec",
     "src/repro/explore",
