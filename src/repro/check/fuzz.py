@@ -7,6 +7,11 @@ geometry × DeliWay-split grid.  Every case is fully determined by its
 :func:`repro.common.rng.make_rng`), so any failure is replayable from
 its parameters alone.
 
+Every ``nucache`` case also diffs the vector engine's ordered-stream
+kernel (:func:`repro.sim.vector.nucache_stream`) against the scalar
+``NUCache`` replay of the same stream: per-access hits, the DeliWay
+counters, the epoch count and the occupancy dict, key order included.
+
 When a case fails, the failing stream is shrunk ddmin-style to a
 minimal reproducer and written as JSON under
 ``$REPRO_CACHE_DIR/check/`` — :func:`load_reproducer` +
@@ -23,6 +28,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.check.oracle import DifferentialHarness, make_reference
 from repro.common.config import CacheGeometry, NUcacheConfig, SystemConfig
 from repro.common.errors import InvariantViolation, ReproError
@@ -30,6 +37,7 @@ from repro.common.rng import DEFAULT_SEED, make_rng
 from repro.exec.stores import default_store_dir
 from repro.nucache.organization import NUCache
 from repro.sim.policies import make_llc
+from repro.sim.vector import nucache_stream
 
 #: One access of a fuzz stream: ``(block_addr, core, pc, is_write)``.
 Access = Tuple[int, int, int, bool]
@@ -202,14 +210,69 @@ def replay_stream(
     point = None
     if corrupt_after is not None and stream:
         point = min(corrupt_after, len(stream) - 1)
+    hits = []
     for index, (block_addr, core, pc, is_write) in enumerate(stream):
         if index == point:
             corruptor(harness.kernel)
         try:
-            harness.access(block_addr, core, pc, is_write)
+            hits.append(harness.access(block_addr, core, pc, is_write))
         except InvariantViolation as violation:
             return violation, index
+    if case.policy == "nucache" and stream:
+        return kernel_divergence(case, stream, harness.kernel, hits)
     return None
+
+
+def _nucache_counters(llc: NUCache) -> dict:
+    return {
+        "deli_hits": llc.deli_hits, "retentions": llc.retentions,
+        "promotions": llc.promotions, "deli_evictions": llc.deli_evictions,
+        "epochs": llc.controller.epochs_completed,
+    }
+
+
+def kernel_divergence(
+    case: FuzzCase, stream: Sequence[Access], scalar: NUCache, scalar_hits: List[bool]
+) -> Optional[Tuple[InvariantViolation, int]]:
+    """Diff the ordered-stream kernel against a finished scalar replay.
+
+    ``scalar`` is the ``NUCache`` that replayed ``stream`` access by
+    access and ``scalar_hits`` its per-access outcomes.  Returns
+    ``(violation, access_index)`` at the first differing access (the
+    last access when only the end state differs), else ``None``.
+    """
+    llc = make_llc(case.policy, system_config(case), seed=case.seed)
+    columns = np.array(stream, dtype=np.int64)
+    hits, occupancy = nucache_stream(llc, columns[:, 0], columns[:, 1], columns[:, 2])
+    problems = []
+    index = len(stream) - 1
+    differ = np.flatnonzero(hits != np.array(scalar_hits, dtype=bool))
+    if differ.size:
+        index = int(differ[0])
+        problems.append(
+            f"access {index}: kernel {'hit' if hits[index] else 'miss'}, "
+            f"scalar {'hit' if scalar_hits[index] else 'miss'} "
+            f"({differ.size} accesses differ)"
+        )
+    counters, expected = _nucache_counters(llc), _nucache_counters(scalar)
+    problems += [
+        f"{name}: kernel {counters[name]}, scalar {expected[name]}"
+        for name in expected if counters[name] != expected[name]
+    ]
+    scalar_occupancy = scalar.occupancy_by_core()
+    if list(occupancy.items()) != list(scalar_occupancy.items()):
+        problems.append(
+            f"occupancy: kernel {occupancy}, scalar {scalar_occupancy}"
+        )
+    if not problems:
+        return None
+    violation = InvariantViolation(
+        "vector NUcache kernel diverged from the scalar replay",
+        violations=problems,
+        snapshot={"kernel": counters, "scalar": expected},
+        context=f"fuzz access {index}",
+    )
+    return violation, index
 
 
 def shrink_stream(

@@ -8,7 +8,7 @@ Subcommands::
     nucache-repro run fig5 --no-cache  # bypass the result store
     nucache-repro run fig5 --trace     # structured trace + metrics.json
     nucache-repro run fig5 --profile   # cProfile workers, hot-function table
-    nucache-repro run fig5 --engine vector   # numpy batch engine, same bytes
+    nucache-repro run fig5 --engine scalar   # per-access reference engine, same bytes
     nucache-repro run --resume <id>    # finish an interrupted run
     nucache-repro runs list            # past runs (from their journals)
     nucache-repro runs show <id>       # one run's journal, readable
@@ -795,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--engine", choices=ENGINE_MODES, default=None,
-        help="simulation engine backend (default: REPRO_ENGINE or scalar); "
+        help="simulation engine backend (default: REPRO_ENGINE or vector); "
         "results are byte-identical either way",
     )
     run_parser.set_defaults(func=_cmd_run)
@@ -901,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim_parser.add_argument(
         "--engine", choices=ENGINE_MODES, default=None,
-        help="simulation engine backend (default: REPRO_ENGINE or scalar); "
+        help="simulation engine backend (default: REPRO_ENGINE or vector); "
         "results are byte-identical either way",
     )
     sim_parser.set_defaults(func=_cmd_sim)

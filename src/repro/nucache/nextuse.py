@@ -58,17 +58,48 @@ class EpochProfile:
     def __init__(self, num_slots: int, events: List[NextUseEvent],
                  evictions_per_slot: List[int], sample_period: int,
                  max_selection_events: int = MAX_SELECTION_EVENTS) -> None:
-        self.num_slots = num_slots
-        self.sample_period = sample_period
-        self.evictions_per_slot = list(evictions_per_slot)
         if events:
-            self.event_pc = np.fromiter(
+            event_pc = np.fromiter(
                 (event.pc_slot for event in events), dtype=np.int64, count=len(events)
             )
-            self.event_deltas = np.array([event.deltas for event in events], dtype=np.int64)
+            event_deltas = np.array([event.deltas for event in events], dtype=np.int64)
         else:
-            self.event_pc = np.zeros(0, dtype=np.int64)
-            self.event_deltas = np.zeros((0, num_slots), dtype=np.int64)
+            event_pc = np.zeros(0, dtype=np.int64)
+            event_deltas = np.zeros((0, num_slots), dtype=np.int64)
+        self._set_arrays(num_slots, event_pc, event_deltas, evictions_per_slot,
+                         sample_period, max_selection_events)
+
+    @classmethod
+    def from_arrays(cls, num_slots: int, event_pc: np.ndarray,
+                    event_deltas: np.ndarray, evictions_per_slot: List[int],
+                    sample_period: int,
+                    max_selection_events: int = MAX_SELECTION_EVENTS) -> "EpochProfile":
+        """Build a profile from event arrays instead of event objects.
+
+        ``event_pc`` is the ``[events]`` array of filler slots and
+        ``event_deltas`` the ``[events, num_slots]`` eviction deltas, in
+        reuse order — exactly the arrays :meth:`__init__` derives from a
+        list of :class:`NextUseEvent`.  The batch engine builds whole
+        epochs this way without materializing per-event tuples.
+        """
+        profile = cls.__new__(cls)
+        event_pc = np.asarray(event_pc, dtype=np.int64)
+        profile._set_arrays(
+            num_slots, event_pc,
+            np.asarray(event_deltas, dtype=np.int64).reshape(
+                event_pc.shape[0], num_slots),
+            evictions_per_slot, sample_period, max_selection_events,
+        )
+        return profile
+
+    def _set_arrays(self, num_slots: int, event_pc: np.ndarray,
+                    event_deltas: np.ndarray, evictions_per_slot: List[int],
+                    sample_period: int, max_selection_events: int) -> None:
+        self.num_slots = num_slots
+        self.sample_period = sample_period
+        self.evictions_per_slot = [int(count) for count in evictions_per_slot]
+        self.event_pc = event_pc
+        self.event_deltas = event_deltas
         if max_selection_events <= 0:
             raise ValueError(
                 f"max_selection_events must be positive, got {max_selection_events}"

@@ -86,6 +86,26 @@ class TestReproducers:
         assert stream == failure.stream
         assert fuzz.replay_stream(loaded_case, stream, corrupt_after) is not None
 
+    def test_kernel_divergence_is_shrunk_and_replayable(self, tmp_path, monkeypatch):
+        """A wrong vector NUcache kernel fails the nucache cases."""
+        real = fuzz.nucache_stream
+
+        def broken(llc, blocks, cores, pcs):
+            hits, occupancy = real(llc, blocks, cores, pcs)
+            hits[blocks % 7 == 3] ^= True  # mispredict one block class
+            return hits, occupancy
+
+        monkeypatch.setattr(fuzz, "nucache_stream", broken)
+        case = fuzz.FuzzCase(policy="nucache", accesses=400)
+        failure = fuzz.run_case(case, store_base=tmp_path)
+        assert failure is not None
+        assert "kernel" in failure.violation.violations[0]
+        assert len(failure.stream) < 400
+        loaded_case, stream, _ = fuzz.load_reproducer(failure.reproducer_path)
+        assert fuzz.replay_stream(loaded_case, stream) is not None
+        monkeypatch.setattr(fuzz, "nucache_stream", real)
+        assert fuzz.replay_stream(loaded_case, stream) is None
+
     def test_clean_case_writes_nothing(self, tmp_path):
         case = fuzz.FuzzCase(policy="lru", accesses=300)
         assert fuzz.run_case(case, store_base=tmp_path) is None

@@ -20,8 +20,9 @@ against artifacts captured from the unoptimized kernel:
   refactor must not bump :data:`~repro.exec.job.ENGINE_VERSION` or
   otherwise move results in the content-addressed store.
 
-The same payload assertions run twice: once on the scalar engine and
-once with ``REPRO_ENGINE=vector``, pinning the vector backend to the
+The same payload assertions run twice: once with
+``REPRO_ENGINE=scalar`` and once with ``REPRO_ENGINE=vector`` (the
+default), pinning the vector backend to the
 identical golden bytes (see ``tests/test_vector_engine.py`` for the
 kernel- and engine-level fuzzing behind that guarantee).
 
@@ -57,6 +58,12 @@ def _golden_payloads() -> dict:
 class TestSimResultGolden:
     """Every simulated payload matches the pre-optimization engine."""
 
+    @pytest.fixture(autouse=True)
+    def _scalar_backend(self, monkeypatch):
+        from repro.sim.vector import ENGINE_ENV
+
+        monkeypatch.setenv(ENGINE_ENV, "scalar")
+
     @pytest.mark.parametrize("policy", _SINGLE_POLICIES)
     def test_single_runs_byte_identical(self, policy):
         golden = _golden_payloads()[f"single:art_like:{policy}"]
@@ -83,10 +90,11 @@ class TestSimResultGoldenVectorBackend:
 
     Same runs as :class:`TestSimResultGolden`, but with
     ``REPRO_ENGINE=vector`` so :func:`repro.sim.vector.make_engine`
-    selects :class:`~repro.sim.vector.VectorEngine`.  Plain-LRU runs
-    exercise the fully vectorized path; NUcache/RRIP/partitioned runs
-    exercise the hybrid path; either way the payload must stay
-    byte-identical to the scalar capture.
+    selects :class:`~repro.sim.vector.VectorEngine`.  Plain-LRU and
+    NUcache runs exercise the fully vectorized path; RRIP/partitioned
+    runs and the prefetching one exercise the hybrid and scalar
+    fallbacks; either way the payload must stay byte-identical to the
+    scalar capture.
     """
 
     @pytest.fixture(autouse=True)

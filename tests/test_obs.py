@@ -303,7 +303,10 @@ class TestInstrumentation:
 
 
 class TestProfile:
-    def test_profiled_execute_dumps_and_merges(self, tmp_path):
+    def test_profiled_execute_dumps_and_merges(self, tmp_path, monkeypatch):
+        # The scalar engine's hot path lives in sim/engine.py, which the
+        # hot-function assertion below looks for.
+        monkeypatch.setenv("REPRO_ENGINE", "scalar")
         from repro.exec import SimJob, execute_job
         from repro.obs.profile import (
             ProfiledExecute,

@@ -30,6 +30,12 @@ import pytest
 
 from repro.cache.cache import SetAssociativeCache
 from repro.cache.replacement.basic import lru_factory
+from repro.check.fuzz import (
+    QUICK_GEOMETRIES,
+    FuzzCase,
+    generate_stream,
+    system_config,
+)
 from repro.check.oracle import make_reference
 from repro.common.config import CacheGeometry, paper_system_config
 from repro.common.errors import SimulationError
@@ -39,12 +45,15 @@ from repro.sim.engine import MulticoreEngine
 from repro.sim.memory import BandwidthLimitedMemory, FixedLatencyMemory
 from repro.sim.policies import make_llc
 from repro.sim.runner import make_traces
+from repro.nucache.nextuse import NextUseProfiler
 from repro.sim.vector import (
     ENGINE_ENV,
+    LRUCarry,
     VectorEngine,
     clear_buffer_pool,
     lru_batch,
     make_engine,
+    nucache_stream,
     resolve_engine_mode,
 )
 
@@ -132,6 +141,40 @@ class TestKernelAgainstRealCache:
         assert not valid.any()
         assert owners.shape == (8, 4)
 
+    @pytest.mark.parametrize("num_sets,ways", [(8, 3), (64, 8), (16, 2)])
+    def test_carried_state_resumes_exactly(self, num_sets, ways):
+        """Batches chained through an LRUCarry equal one long batch."""
+        blocks, lanes, tags, _ = _kernel_inputs(
+            num_sets, ways, 4_000, seed=num_sets * 7 + ways
+        )
+        whole, valid, _ = lru_batch(lanes, tags, num_sets, ways, need_state=True)
+        carry = LRUCarry.empty(ways, num_sets)
+        hits, fills, victims = [], [], []
+        for start in range(0, 4_000, 700):
+            part, _, _ = lru_batch(
+                lanes[start:start + 700], tags[start:start + 700], num_sets, ways,
+                carry=carry,
+            )
+            hits.append(part)
+            fills.append(carry.fill_ways)
+            victims.append(carry.victims)
+        assert np.array_equal(np.concatenate(hits), whole)
+        assert np.array_equal(carry.tags.T >= 0, valid)
+        # Victims against a dict-of-lists LRU replay.
+        stacks = {}
+        expected = []
+        for lane, tag in zip(lanes.tolist(), tags.tolist()):
+            stack = stacks.setdefault(lane, [])
+            if tag in stack:
+                stack.remove(tag)
+                expected.append(-1)
+            else:
+                expected.append(stack.pop() if len(stack) == ways else -1)
+            stack.insert(0, tag)
+        assert np.array_equal(np.concatenate(victims), np.array(expected))
+        fills = np.concatenate(fills)
+        assert fills.min() >= 0 and fills.max() < ways
+
     def test_buffer_pool_reuse_does_not_corrupt_results(self):
         _, lanes, tags, cores = _kernel_inputs(64, 8, 4_000, seed=3)
         first = lru_batch(lanes, tags, 64, 8, cores=cores)
@@ -167,6 +210,45 @@ class TestKernelAgainstDifferentialOracle:
         for set_index in range(num_sets):
             resident = set(reference.tag_to_way[set_index].values())
             assert int(valid[set_index].sum()) == len(resident)
+
+
+#: NUcache ordered-stream kernel grid: geometry x DeliWay split x cores
+#: x seed, on the fuzz harness's short-epoch, small-history config.
+NUCACHE_KERNEL_CASES = [
+    FuzzCase("nucache", sets=sets, ways=ways, deli_ways=deli, cores=cores,
+             accesses=2_000, seed=seed)
+    for sets, ways in QUICK_GEOMETRIES
+    for deli in sorted({1, ways // 2, ways - 1})
+    for cores in (1, 2, 4)
+    for seed in (1, 2, 3)
+]
+
+
+def _nucache_counters(llc):
+    return (llc.deli_hits, llc.retentions, llc.promotions, llc.deli_evictions,
+            llc.controller.epochs_completed)
+
+
+class TestNUcacheStreamKernel:
+    """nucache_stream == NUCache.access replayed one access at a time."""
+
+    @pytest.mark.parametrize(
+        "case", NUCACHE_KERNEL_CASES, ids=[c.describe() for c in NUCACHE_KERNEL_CASES]
+    )
+    def test_matches_scalar_replay(self, case):
+        stream = generate_stream(case)
+        config = system_config(case)
+        scalar = make_llc("nucache", config, case.seed)
+        scalar_hits = [scalar.access(*access) for access in stream]
+        batch = make_llc("nucache", config, case.seed)
+        columns = np.array(stream, dtype=np.int64)
+        hits, occupancy = nucache_stream(
+            batch, columns[:, 0], columns[:, 1], columns[:, 2]
+        )
+        assert hits.tolist() == scalar_hits
+        assert _nucache_counters(batch) == _nucache_counters(scalar)
+        assert list(occupancy.items()) == list(scalar.occupancy_by_core().items())
+        assert scalar.controller.epochs_completed >= 3
 
 
 #: Engine-level fuzz grid: (members, policy, memory_model, warmup).
@@ -224,9 +306,9 @@ class TestEngineEquivalence:
         _, _, vector = _run_both(["mcf_like", "milc_like"], "lru", "fixed", 0.25)
         assert vector.fallback_reason is None
 
-    def test_hybrid_path_taken_for_nucache(self):
+    def test_full_vector_path_taken_for_nucache(self):
         _, _, vector = _run_both(["mcf_like"], "nucache", "fixed", 0.25)
-        assert vector.fallback_reason == "hybrid:llc_policy:nucache"
+        assert vector.fallback_reason is None
 
     def test_hybrid_path_taken_for_bandwidth_memory(self):
         _, _, vector = _run_both(["mcf_like", "milc_like"], "lru", "bandwidth", 0.25)
@@ -248,6 +330,107 @@ class TestEngineEquivalence:
             FixedLatencyMemory(config.latency.memory), warmup_fraction=0.25,
         ).run()
         assert checked.to_dict() == vector.to_dict()
+
+
+#: NUcache engine cases: (members, accesses per core, config overrides).
+#: Short epochs and a small Next-Use history, so each scalar run has
+#: several epochs, DeliWay hits and history overflows (asserted, so the
+#: cases cannot silently stop reaching the DeliWays); one case profiles
+#: every 4th set only.
+NUCACHE_ENGINE_CASES = [
+    (("art_like", "mcf_like"), 8_000, {}),
+    (("art_like", "swim_like"), 8_000, {}),
+    (("art_like", "mcf_like"), 8_000, {"sample_period": 4, "history_capacity": 32}),
+    (("art_like", "lbm_like", "swim_like", "milc_like"), 5_000, {}),
+    (("equake_like", "soplex_like", "art_like", "ammp_like", "libquantum_like",
+      "milc_like", "mcf_like", "swim_like"), 4_000, {}),
+]
+
+
+def _count_history_overflows(llc):
+    """Wrap the scalar profiler to count FIFO capacity drops."""
+    profiler = llc.controller.profiler
+    original = profiler.on_eviction
+    drops = [0]
+
+    def on_eviction(set_index, block_addr, pc_slot):
+        full = profiler.pending_evictions == profiler.history_capacity
+        original(set_index, block_addr, pc_slot)
+        if full and pc_slot >= 0 and profiler.sampled(set_index):
+            drops[0] += 1
+
+    profiler.on_eviction = on_eviction
+    return drops
+
+
+class TestNUcacheEngineEquivalence:
+    """The windowed NUcache solve is byte-identical on multicore runs."""
+
+    @pytest.mark.parametrize(
+        "members,accesses,overrides", NUCACHE_ENGINE_CASES,
+        ids=[f"x{len(c[0])}-{c[0][1].replace('_like', '')}"
+             + ("-sampled" if c[2] else "") for c in NUCACHE_ENGINE_CASES],
+    )
+    def test_reaches_deliways_and_matches_scalar(self, members, accesses, overrides):
+        config = paper_system_config(
+            len(members), **{"epoch_misses": 300, "history_capacity": 128, **overrides}
+        )
+        traces = make_traces(list(members), accesses, 11)
+        memory = FixedLatencyMemory(config.latency.memory)
+        scalar_llc = make_llc("nucache", config, 11)
+        drops = _count_history_overflows(scalar_llc)
+        scalar = MulticoreEngine(
+            traces, scalar_llc, config, memory, warmup_fraction=0.25
+        ).run()
+        assert scalar_llc.controller.epochs_completed >= 3
+        assert scalar_llc.deli_hits > 0
+        assert drops[0] > 0
+        vector_llc = make_llc("nucache", config, 11)
+        engine = VectorEngine(
+            traces, vector_llc, config, FixedLatencyMemory(config.latency.memory),
+            warmup_fraction=0.25,
+        )
+        assert json.dumps(engine.run().to_dict(), sort_keys=True) == (
+            json.dumps(scalar.to_dict(), sort_keys=True)
+        )
+        assert engine.fallback_reason is None
+        assert _nucache_counters(vector_llc) == _nucache_counters(scalar_llc)
+
+    def _engines(self, policy, memory_model="fixed", **nucache):
+        config = paper_system_config(2, epoch_misses=300, **nucache)
+        traces = make_traces(["art_like", "mcf_like"], 3_000, 11)
+        scalar = MulticoreEngine(
+            traces, make_llc(policy, config, 11), config,
+            _make_memory_model(config, memory_model), warmup_fraction=0.25,
+        )
+        vector = VectorEngine(
+            traces, make_llc(policy, config, 11), config,
+            _make_memory_model(config, memory_model), warmup_fraction=0.25,
+        )
+        return scalar, vector
+
+    @pytest.mark.parametrize("policy,memory_model,nucache,reason", [
+        ("nucache-ucp", "fixed", {}, "hybrid:llc_policy:nucache-ucp"),
+        ("nucache", "fixed", {"deli_replacement": "lru"},
+         "hybrid:deli_replacement:lru"),
+        ("nucache", "bandwidth", {}, "hybrid:memory_model"),
+    ])
+    def test_out_of_scope_organizations_run_hybrid(
+        self, policy, memory_model, nucache, reason
+    ):
+        scalar, vector = self._engines(policy, memory_model, **nucache)
+        assert scalar.run().to_dict() == vector.run().to_dict()
+        assert vector.fallback_reason == reason
+
+    def test_iteration_cap_falls_back_to_hybrid(self, monkeypatch):
+        monkeypatch.setattr("repro.sim.vector.MAX_FIXED_POINT_ITERATIONS", 1)
+        scalar, vector = self._engines("nucache")
+        assert scalar.run().to_dict() == vector.run().to_dict()
+        assert vector.fallback_reason == "hybrid:fixed_point_not_converged"
+        assert type(vector.llc.controller.profiler) is NextUseProfiler
+        assert vector.llc.controller.epochs_completed == (
+            scalar.llc.controller.epochs_completed
+        )
 
 
 class TestFallbackTriggers:
@@ -290,8 +473,12 @@ class TestFallbackTriggers:
 class TestEngineSelection:
     """resolve_engine_mode / make_engine honor flag, env, and default."""
 
-    def test_default_is_scalar(self, monkeypatch):
+    def test_default_is_vector(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV, raising=False)
+        assert resolve_engine_mode() == "vector"
+
+    def test_env_selects_scalar(self, monkeypatch):
+        monkeypatch.setenv(ENGINE_ENV, "scalar")
         assert resolve_engine_mode() == "scalar"
 
     def test_env_selects_vector(self, monkeypatch):
